@@ -379,7 +379,7 @@ int main(int argc, char** argv) {
     cfg.with_gradient = true;
     // Plummer softening keeps close encounters from scattering particles
     // out of the box mid-bench; the measurement targets solver cost.
-    cfg.softening = 1e-3;
+    cfg.kernel.softening = 1e-3;
     const std::size_t n_int = n / 4;
     core::FmmSolver solver(cfg);
     core::LeapfrogIntegrator integ(solver, core::ForceLaw::kGravity, 1e-6);

@@ -85,7 +85,7 @@ ModeRun run_mode(const std::string& scenario, std::size_t n,
   // Plummer softening keeps unresolved close encounters from slingshotting
   // particles out of the pinned root cube mid-bench (same convention as
   // bench_breakdown's integrator loop); the measurement targets solver cost.
-  cfg.softening = 1e-3;
+  cfg.kernel.softening = 1e-3;
   core::FmmSolver solver(cfg);
   (void)solver.translations();
 

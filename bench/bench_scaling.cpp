@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
       core::FmmConfig scfg = cfg;
       scfg.with_gradient = true;
       scfg.step_incremental = true;
-      scfg.softening = 1e-3;
+      scfg.kernel.softening = 1e-3;
       core::FmmSolver ssolver(scfg);
       (void)ssolver.translations();
       core::SimulationState st;

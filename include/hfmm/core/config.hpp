@@ -34,7 +34,7 @@ enum class AggregationMode {
 enum class HierarchyMode {
   kDense,     ///< dense 8^l arrays per level (the classic layout)
   kSparse,    ///< active-box level sets derived from leaf occupancy
-  kAuto,      ///< sparse when leaf occupancy < sparse_threshold, else dense
+  kAuto,      ///< sparse when leaf occupancy < 0.9, else dense
   kAdaptive,  ///< per-box ncrit refinement: non-uniform leaf front (§15)
 };
 
@@ -80,24 +80,16 @@ struct FmmConfig {
   /// reuse the tree/near-field machinery with the far phases as empty DAG
   /// nodes. Env default HFMM_KERNEL=laplace|vdw.
   KernelSpec kernel{};
-  /// DEPRECATED alias for kernel.softening (the Laplace Plummer softening
-  /// now lives on the KernelSpec). A non-zero value here is forwarded to
-  /// kernel.softening by FmmSolver when the spec leaves it at 0, so
-  /// pre-KernelModel call sites behave unchanged.
-  double softening = 0.0;
   ExecutionMode mode = ExecutionMode::kThreads;
   AggregationMode aggregation = AggregationMode::kGemm;
   /// Sparse active-box hierarchy selection. kAuto measures the leaf-level
   /// occupancy after the coordinate sort and switches to the sparse
-  /// executor only when it falls below sparse_threshold — dense (near-)
-  /// uniform inputs keep the dense path and its exact bit patterns.
+  /// executor only when it falls below 0.9 — dense (near-)uniform inputs
+  /// keep the dense path and its exact bit patterns.
   /// kAdaptive (opt-in, env HFMM_HIERARCHY=adaptive) replaces the single
   /// global leaf level with a per-box ncrit-refined leaf front (DESIGN.md
   /// §15); in data-parallel mode it degrades to the kAuto behaviour.
   HierarchyMode hierarchy = default_hierarchy_mode();
-  /// kAuto's occupancy cutoff: fraction of non-empty leaf boxes below which
-  /// the sparse path is selected. In [0, 1]; 0 forces dense under kAuto.
-  double sparse_threshold = 0.9;
   /// kAdaptive leaf-split threshold: a box splits while it holds more than
   /// ncrit bodies (up to the refinement depth cap). 0 = pick the value per
   /// solve by minimizing the modeled cost (near-field pair count plus

@@ -49,8 +49,7 @@ bool default_vdw_periodic();
 struct KernelSpec {
   KernelType type = default_kernel_type();
 
-  /// Plummer softening of the Laplace near field (absorbed here from the
-  /// old FmmConfig::softening; that field still forwards). Laplace only.
+  /// Plummer softening of the Laplace near field. Laplace only.
   double softening = 0.0;
 
   /// Van der Waals dials (CHARMM convention): per-atom-type minimum-energy

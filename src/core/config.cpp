@@ -109,9 +109,6 @@ void FmmConfig::validate() const {
   if (particles_per_leaf < 0.0)
     throw std::invalid_argument(
         "FmmConfig: particles_per_leaf must be positive (or 0 = automatic)");
-  if (sparse_threshold < 0.0 || sparse_threshold > 1.0)
-    throw std::invalid_argument(
-        "FmmConfig: sparse_threshold must be in [0, 1]");
   if (step_mover_threshold < 0.0 || step_mover_threshold > 1.0)
     throw std::invalid_argument(
         "FmmConfig: step_mover_threshold must be in [0, 1]");

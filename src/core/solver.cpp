@@ -16,7 +16,9 @@
 #include "hfmm/dp/sort.hpp"
 #include "hfmm/service/plan_cache.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
+#include "pipeline.hpp"
 #include "solver_internal.hpp"
+#include "sparse_chunks.hpp"
 
 namespace hfmm::core {
 
@@ -146,13 +148,6 @@ FmmSolver::FmmSolver(FmmConfig config,
                      std::shared_ptr<service::PlanCache> cache)
     : config_(std::move(config)), impl_(std::make_unique<Impl>()) {
   impl_->cache = std::move(cache);
-  // Softening alias reconciliation: the legacy FmmConfig::softening forwards
-  // into the Laplace KernelSpec when the spec leaves it at 0, and the spec
-  // wins otherwise; afterwards the two fields agree, so pre-KernelModel code
-  // reading either sees the value that is actually applied.
-  if (config_.kernel.softening == 0.0 && config_.softening != 0.0)
-    config_.kernel.softening = config_.softening;
-  config_.softening = config_.kernel.softening;
   config_.validate();
   hierarchy_requested_ = config_.hierarchy;
   if (config_.mode == ExecutionMode::kDistributed) {
@@ -176,7 +171,7 @@ FmmSolver::FmmSolver(FmmConfig config,
     impl_->near.soft2 = 0.0;
     impl_->near.vdw = impl_->vdw.params;
   } else {
-    impl_->near = NearKernel{config_.softening};
+    impl_->near = NearKernel{config_.kernel.softening};
   }
   // Pool selection happens once here, not per solve: sequential mode owns a
   // one-thread pool; the parallel modes share the process-global pool.
@@ -343,29 +338,6 @@ struct SharedContext {
 
   const TranslationData& trans() const { return *plan.trans; }
 };
-
-void p2m_chunk(SharedContext& ctx, std::size_t lo, std::size_t hi,
-               PhaseStats& stats) {
-  const int h = ctx.hier.depth();
-  const std::size_t k = ctx.config.params.k();
-  const double a = ctx.config.params.outer_ratio * ctx.hier.side_at(h);
-  const dp::BoxedParticles& boxed = ctx.ws.boxed;
-  const ParticleSet& p = boxed.sorted;
-  std::uint64_t local_flops = 0;
-  for (std::size_t f = lo; f < hi; ++f) {
-    const std::uint32_t rank = boxed.flat_to_rank[f];
-    const std::uint32_t b = boxed.box_begin[rank];
-    const std::uint32_t e = boxed.box_begin[rank + 1];
-    if (b == e) continue;
-    const tree::BoxCoord c = ctx.hier.coord_of(h, f);
-    anderson::p2m(ctx.config.params, a, ctx.hier.center(h, c),
-                  p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                  p.z().subspan(b, e - b), p.q().subspan(b, e - b),
-                  {ctx.ws.far[h].data() + f * k, k});
-    local_flops += anderson::p2m_flops(k, e - b);
-  }
-  stats.flops += local_flops;
-}
 
 // One level of the upward T1 pass over parent (z, y) rows [lo, hi); each
 // row gathers its 8 strided child rows into chunk scratch.
@@ -721,38 +693,6 @@ void downward_chunk(SharedContext& ctx, int l, std::size_t chunk,
   stats.flops += local_flops;
 }
 
-void l2p_chunk(SharedContext& ctx, std::size_t lo, std::size_t hi,
-               PhaseStats& stats) {
-  const int h = ctx.hier.depth();
-  const std::size_t k = ctx.config.params.k();
-  const double a = ctx.config.params.inner_ratio * ctx.hier.side_at(h);
-  const dp::BoxedParticles& boxed = ctx.ws.boxed;
-  const ParticleSet& p = boxed.sorted;
-  const std::span<double> phi{ctx.ws.phi_sorted};
-  const std::span<Vec3> grad{ctx.ws.grad_sorted};
-  std::uint64_t local_flops = 0;
-  for (std::size_t f = lo; f < hi; ++f) {
-    const std::uint32_t rank = boxed.flat_to_rank[f];
-    const std::uint32_t b = boxed.box_begin[rank];
-    const std::uint32_t e = boxed.box_begin[rank + 1];
-    if (b == e) continue;
-    const tree::BoxCoord c = ctx.hier.coord_of(h, f);
-    const std::span<const double> g{ctx.ws.local[h].data() + f * k, k};
-    if (grad.empty()) {
-      anderson::l2p(ctx.config.params, a, ctx.hier.center(h, c), g,
-                    p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                    p.z().subspan(b, e - b), phi.subspan(b, e - b));
-    } else {
-      anderson::l2p_gradient(ctx.config.params, a, ctx.hier.center(h, c), g,
-                             p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                             p.z().subspan(b, e - b), phi.subspan(b, e - b),
-                             grad.subspan(b, e - b));
-    }
-    local_flops += anderson::l2p_flops(k, e - b, ctx.config.params.truncation);
-  }
-  stats.flops += local_flops;
-}
-
 }  // namespace
 
 FmmResult FmmSolver::solve(const ParticleSet& particles) {
@@ -808,9 +748,10 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   // are comparable across steps and the sort can be repaired by diff.
   const bool step_enabled = config_.step_incremental &&
                             config_.mode != ExecutionMode::kDataParallel;
-  step.cur_incremental = false;
   step.cur_counts_changed = true;
   step.cur_emptiness_changed = true;
+  const bool steppable =
+      step_enabled && step.valid && step.n == n && step.depth == h;
   Box3 cube;
   if (!far_capable) {
     // Short-range solves pin the root cube to the kernel's domain box:
@@ -819,28 +760,19 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
     // stepping never loses the cube. Particles are expected to stay inside
     // vdw_box (the LJ integrator loop wraps or reflects them there).
     cube = tree::cube_containing(config_.kernel.vdw_box);
-    if (step_enabled && step.valid && step.n == n && step.depth == h)
-      step.cur_incremental = true;
-    if (!step.cur_incremental) {
-      step.active_valid = false;
-      step.cost_valid = false;
-    }
+    step.cur_incremental = steppable;
   } else {
-    if (step_enabled && step.valid && step.n == n && step.depth == h) {
-      const Box3 b = particles.bounds();
-      if (step.cube.contains(b.lo) && step.cube.contains(b.hi)) {
-        cube = step.cube;
-        step.cur_incremental = true;
-      }
-    }
-    if (!step.cur_incremental) {
-      // The hierarchy's root cube is the only per-solve geometry (particles
-      // move); it is an O(1) object and all plan structure is expressed in
-      // box-side units, so the plan stays valid across solves.
-      cube = tree::cube_containing(particles.bounds());
-      step.active_valid = false;
-      step.cost_valid = false;
-    }
+    // The hierarchy's root cube is the only per-solve geometry (particles
+    // move); it is an O(1) object and all plan structure is expressed in
+    // box-side units, so the plan stays valid across solves.
+    const Box3 b = particles.bounds();
+    step.cur_incremental =
+        steppable && step.cube.contains(b.lo) && step.cube.contains(b.hi);
+    cube = step.cur_incremental ? step.cube : tree::cube_containing(b);
+  }
+  if (!step.cur_incremental) {
+    step.active_valid = false;
+    step.cost_valid = false;
   }
   const tree::Hierarchy hier(cube, h);
 
@@ -855,60 +787,50 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   const dp::MachineConfig one_vu{1, 1, 1};
   const dp::BlockLayout layout(hier.boxes_per_side(h), one_vu);
 
-  // Sparse dispatch (DESIGN.md Section 13): the dense/sparse decision needs
-  // leaf occupancy, which needs the coordinate sort's output — so when the
-  // sparse path is reachable the sort runs here (still charged to "sort")
-  // and the graph's sort stage becomes a no-op. Dense-selected solves then
-  // proceed bit-identically: same sort output, same dense stages. The
-  // incremental step also sorts eagerly (its diff drives the StepCache
-  // revalidation below) even when the hierarchy is forced dense.
-  // Short-range kernels read the per-particle type array in SORTED order;
-  // inputs without a type channel get the all-zeros single-type array. The
-  // pointer is re-bound after every sort because the sorted buffers can
-  // reallocate when the workspace grows.
-  const auto bind_types = [&] {
-    if (far_capable) return;
+  // The coordinate sort runs before any executor is chosen: the
+  // dense/sparse decision (DESIGN.md Section 13) needs leaf occupancy, and
+  // an incremental step's sort diff drives the StepCache revalidation. The
+  // graph's sort stage is then a no-op. Short-range kernels read the
+  // per-particle type array in SORTED order; inputs without a type channel
+  // get the all-zeros single-type array. The pointer is re-bound after
+  // every sort because the sorted buffers can reallocate when the
+  // workspace grows.
+  bool sort_repaired = false;
+  {
+    ScopedPhaseTimer timer(result.breakdown["sort"]);
+    if (step.cur_incremental) {
+      const dp::StepSortResult sr = dp::coordinate_sort_step(
+          particles, hier, layout, config_.step_mover_threshold, ws.boxed,
+          ws.sort_scratch);
+      result.breakdown["sort"].movers += sr.movers;
+      if (sr.repaired) {
+        result.breakdown["sort"].plan_reuse += 1;
+        sort_repaired = true;
+      }
+      step.cur_counts_changed = sr.counts_changed;
+      step.cur_emptiness_changed = sr.emptiness_changed;
+    } else {
+      dp::coordinate_sort(particles, hier, layout, ws.boxed,
+                          &ws.sort_scratch);
+    }
+  }
+  if (!far_capable) {
     ws.boxed.sorted.ensure_types();
     impl_->near.types = ws.boxed.sorted.type().data();
-  };
-
-  bool pre_sorted = false;
-  bool sort_repaired = false;
-  if (step_enabled || config_.hierarchy != HierarchyMode::kDense) {
-    {
-      ScopedPhaseTimer timer(result.breakdown["sort"]);
-      if (step.cur_incremental) {
-        const dp::StepSortResult sr = dp::coordinate_sort_step(
-            particles, hier, layout, config_.step_mover_threshold, ws.boxed,
-            ws.sort_scratch);
-        result.breakdown["sort"].movers += sr.movers;
-        if (sr.repaired) {
-          result.breakdown["sort"].plan_reuse += 1;
-          sort_repaired = true;
-        }
-        step.cur_counts_changed = sr.counts_changed;
-        step.cur_emptiness_changed = sr.emptiness_changed;
-      } else {
-        dp::coordinate_sort(particles, hier, layout, ws.boxed,
-                            &ws.sort_scratch);
-      }
-    }
-    pre_sorted = true;
-    bind_types();
+  }
+  // The occupied leaf list only changes when some box flips empty <->
+  // non-empty; an incremental step whose diff says otherwise keeps it.
+  if (!(step.cur_incremental && !step.cur_emptiness_changed)) {
+    const std::size_t cap_before = ws.occupied.capacity();
+    ws.occupied.clear();
+    const std::size_t ranks = ws.boxed.box_begin.size() - 1;
+    for (std::size_t r = 0; r < ranks; ++r)
+      if (ws.boxed.box_begin[r + 1] > ws.boxed.box_begin[r])
+        ws.occupied.push_back(ws.boxed.rank_to_flat[r]);
+    if (ws.occupied.capacity() != cap_before)
+      ws.allocs.fetch_add(1, std::memory_order_relaxed);
   }
   if (config_.hierarchy != HierarchyMode::kDense) {
-    // The occupied leaf list only changes when some box flips empty <->
-    // non-empty; an incremental step whose diff says otherwise keeps it.
-    if (!(step.cur_incremental && !step.cur_emptiness_changed)) {
-      const std::size_t cap_before = ws.occupied.capacity();
-      ws.occupied.clear();
-      const std::size_t ranks = ws.boxed.box_begin.size() - 1;
-      for (std::size_t r = 0; r < ranks; ++r)
-        if (ws.boxed.box_begin[r + 1] > ws.boxed.box_begin[r])
-          ws.occupied.push_back(ws.boxed.rank_to_flat[r]);
-      if (ws.occupied.capacity() != cap_before)
-        ws.allocs.fetch_add(1, std::memory_order_relaxed);
-    }
     if (config_.mode == ExecutionMode::kDistributed)
       return solve_dist_(particles, hier, std::move(result), view,
                          sort_repaired);
@@ -918,266 +840,91 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
     const double occ = static_cast<double>(ws.occupied.size()) /
                        static_cast<double>(hier.boxes_at(h));
     if (config_.hierarchy == HierarchyMode::kSparse ||
-        occ < config_.sparse_threshold)
+        occ < internal::kSparseOccupancy)
       return solve_sparse_(particles, hier, std::move(result), view,
                            sort_repaired);
   }
 
-  const std::size_t k = config_.params.k();
-  const std::size_t W = pool.size();
-  const std::size_t leaf_boxes = hier.boxes_at(h);
-  // Near-field chunk policy: one chunk on one worker preserves the classic
-  // sequential accumulation bitwise; with threads, finer chunks let idle
-  // workers drain the near field while the far-field chain runs. The count
-  // is fixed here (not by the scheduler), so results are reproducible.
-  const std::size_t nf_chunks =
-      W == 1 ? 1 : std::min(leaf_boxes, 4 * W);
-
-  SharedContext ctx{config_, plan, hier, ws};
-  using exec::NodeId;
-  exec::PhaseGraph g;
-
-  const NodeId sort = g.add_serial(sort_repaired ? "sort.incremental" : "sort",
-                                   "sort", [&](PhaseStats&) {
-                                     if (!pre_sorted) {
-                                       dp::coordinate_sort(particles, hier,
-                                                           layout, ws.boxed,
-                                                           &ws.sort_scratch);
-                                       bind_types();
-                                     }
-                                   });
-  const NodeId prep_levels =
-      g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
-        if (!far_capable) return;  // no level stores for short-range solves
-        ws.prepare_levels(h, k);
-        ws.arena.ensure(W, ws.allocs);
-        if (!config_.supernodes) {
-          // Pre-grow the padded source grid to its largest (leaf) level so
-          // the per-level pad stages only write, never resize.
-          const std::size_t np = hier.boxes_per_side(h) +
-                                 2 * (2 * config_.separation + 1);
-          internal::grow(ws.pad, np * np * np * k, ws.allocs);
-        }
-      });
-  const NodeId prep_out =
-      g.add_serial("prepare:outputs", "workspace", [&](PhaseStats&) {
-        ws.prepare_outputs(n, config_.with_gradient);
-        if (ws.near_scratch.chunks.size() < nf_chunks)
-          ws.near_scratch.chunks.resize(nf_chunks);
-        if (view == nullptr) {
-          result.phi.assign(n, 0.0);
-          if (config_.with_gradient) result.grad.assign(n, Vec3{});
-        }
-      });
-
-  // Tail of the far-field chain; accumulate waits on it. For short-range
-  // kernels the chain collapses to empty serial nodes — one per far phase,
-  // in the canonical order — so the breakdown and timeline keep a stable
-  // phase set (zero boxes, zero pairs, ~zero time) across kernels.
-  NodeId far_tail = 0;
-  if (!far_capable) {
-    NodeId prev = prep_levels;
-    for (const char* ph :
-         {"p2m", "upward", "interactive", "downward", "l2p"}) {
-      const NodeId id = g.add_serial(ph, ph, [](PhaseStats&) {});
-      g.depend(id, prev);
-      prev = id;
-    }
-    g.depend(prev, sort);
-    g.depend(prev, prep_out);
-    far_tail = prev;
-  } else {
-  const NodeId p2m = g.add(
-      "p2m", "p2m", leaf_boxes, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        p2m_chunk(ctx, lo, hi, st);
-      });
-  g.depend(p2m, sort);
-  g.depend(p2m, prep_levels);
-
-  // Upward chain: up[l] completes far[l] (far[h] comes from P2M).
-  std::vector<NodeId> up(h, p2m);
-  NodeId chain = p2m;
-  for (int l = h - 1; l >= 1; --l) {
-    const std::size_t np = hier.boxes_per_side(l);
-    const NodeId id = g.add(
-        "upward:L" + std::to_string(l), "upward", np * np, 0,
-        [&, l](std::size_t c, std::size_t lo, std::size_t hi, PhaseStats& st) {
-          upward_chunk(ctx, l, c, lo, hi, st);
-        });
-    g.depend(id, chain);
-    up[l] = id;
-    chain = id;
-  }
-  const auto far_ready = [&](int l) { return l == h ? p2m : up[l]; };
-
-  // Downward/interactive: per level, T3 (l > 2) then T2, both writing
-  // local[l] — the T3 -> T2 edge fixes the floating-point accumulation
-  // order. The non-supernode T2 splits into pad (fill the shared padded
-  // grid) and apply; pad(l) must wait for apply(l-1) to release the grid.
-  NodeId prev_apply = 0;
-  bool have_prev_apply = false;
-  for (int l = 2; l <= h; ++l) {
-    const std::string ls = std::to_string(l);
-    NodeId t3 = 0;
-    const bool has_t3 = l > 2;
-    if (has_t3) {
-      const std::size_t np = hier.boxes_per_side(l - 1);
-      t3 = g.add(
-          "downward:L" + ls, "downward", np * np, 0,
-          [&, l](std::size_t c, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) { downward_chunk(ctx, l, c, lo, hi, st); });
-      g.depend(t3, chain);  // local[l-1] complete
-    }
-    if (config_.supernodes) {
-      const std::size_t np = hier.boxes_per_side(l - 1);
-      const NodeId id = g.add(
-          "interactive:L" + ls, "interactive", 8 * np, 0,
-          [&, l](std::size_t c, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) { supernode_chunk(ctx, l, c, lo, hi, st); });
-      g.depend(id, far_ready(l - 1));  // sources: far[l] and far[l-1]
-      if (has_t3) g.depend(id, t3);
-      chain = id;
-    } else {
-      const std::size_t nl = hier.boxes_per_side(l);
-      const std::size_t npad = nl + 2 * (2 * config_.separation + 1);
-      const NodeId pad = g.add(
-          "pad:L" + ls, "interactive", npad, 0,
-          [&, l](std::size_t, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) { pad_chunk(ctx, l, lo, hi, st); });
-      g.depend(pad, far_ready(l));
-      if (have_prev_apply) g.depend(pad, prev_apply);
-      const NodeId apply = g.add(
-          "interactive:L" + ls, "interactive", nl, 0,
-          [&, l](std::size_t c, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) { interactive_chunk(ctx, l, c, lo, hi, st); });
-      g.depend(apply, pad);
-      if (has_t3) g.depend(apply, t3);
-      prev_apply = apply;
-      have_prev_apply = true;
-      chain = apply;
-    }
-  }
-
-  const NodeId l2p = g.add(
-      "l2p", "l2p", leaf_boxes, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        l2p_chunk(ctx, lo, hi, st);
-      });
-  g.depend(l2p, chain);
-  g.depend(l2p, prep_out);
-  far_tail = l2p;
-  }
-
-  // The near field is independent of the whole far-field chain: it runs at
-  // lower priority so idle workers pick it up, and meets the far field only
-  // at the accumulate stage.
-  const std::span<const tree::Offset> offsets =
-      plan.near_list(config_.near_symmetry);
-  const NodeId near = g.add(
-      "near", "near", leaf_boxes, nf_chunks,
-      [&, offsets](std::size_t c, std::size_t lo, std::size_t hi,
-                   PhaseStats& st) {
-        const NearFieldResult nf = near_field_chunk(
-            hier, ws.boxed, offsets, config_.near_symmetry,
-            config_.with_gradient, ws.near_scratch.chunks[c], lo, hi,
-            impl_->near);
-        st.flops += nf.flops;
-        st.pairs += nf.pair_interactions;
-      },
-      /*priority=*/1);
-  g.depend(near, sort);
-  g.depend(near, prep_out);
-
-  // Accumulate: add the near-field chunks (in chunk-index == box-range
-  // order, for reproducibility) onto the far-field result and — unless a
-  // SolveView streams the sorted buffers out directly — un-sort to the
-  // original particle order.
-  const NodeId acc = g.add(
-      "accumulate", "accumulate", n, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats&) {
-        near_field_accumulate(ws.near_scratch, nf_chunks,
-                              config_.with_gradient, ws.phi_sorted,
-                              ws.grad_sorted, lo, hi);
-        if (view != nullptr) return;
-        for (std::size_t i = lo; i < hi; ++i) {
-          result.phi[ws.boxed.perm[i]] = ws.phi_sorted[i];
-          if (config_.with_gradient)
-            result.grad[ws.boxed.perm[i]] = ws.grad_sorted[i];
-        }
-      });
-  g.depend(acc, far_tail);
-  g.depend(acc, near);
-
-  g.run(pool,
-        config_.mode == ExecutionMode::kThreads ? exec::RunMode::kConcurrent
-                                                : exec::RunMode::kInline,
-        result.breakdown, &result.timeline);
-
-  // Per-phase box counts: the dense executor visits every box of a phase's
-  // levels, so active == total here (the sparse/adaptive executors report
-  // smaller active counts against the same totals).
-  {
-    const auto record = [&](const char* phase, int lo_l, int hi_l) {
-      PhaseStats& st = result.breakdown[phase];
-      for (int l = lo_l; l <= hi_l; ++l) {
-        st.boxes_active += hier.boxes_at(l);
-        st.boxes_total += hier.boxes_at(l);
-      }
-    };
-    record("near", h, h);
-    if (far_capable) {
-      record("p2m", h, h);
-      record("l2p", h, h);
-      record("upward", 1, h - 1);
-      record("interactive", 2, h);
-      if (h > 2) record("downward", 3, h);
-    }
-  }
   // Measured leaf occupancy for the result record ("active" phase): the
   // dense executor does not need the active sets to run, but deriving them
-  // afterwards gives benches the same per-level occupancy the sparse path
-  // reports (previously empty on dense solves).
+  // gives benches the same per-level occupancy the sparse path reports.
   {
     ScopedPhaseTimer timer(result.breakdown["active"]);
-    if (config_.hierarchy == HierarchyMode::kDense) {
-      // The sparse dispatch block did not run; derive the occupied list.
-      const std::size_t cap_before = ws.occupied.capacity();
-      ws.occupied.clear();
-      const std::size_t ranks = ws.boxed.box_begin.size() - 1;
-      for (std::size_t r = 0; r < ranks; ++r)
-        if (ws.boxed.box_begin[r + 1] > ws.boxed.box_begin[r])
-          ws.occupied.push_back(ws.boxed.rank_to_flat[r]);
-      if (ws.occupied.capacity() != cap_before)
-        ws.allocs.fetch_add(1, std::memory_order_relaxed);
-    }
-    const std::size_t cap_before = ws.active.capacity_bytes();
-    tree::build_active_levels(hier, ws.occupied, ws.active);
-    if (ws.active.capacity_bytes() != cap_before)
-      ws.allocs.fetch_add(1, std::memory_order_relaxed);
-    result.level_occupancy.resize(h + 1);
-    for (int l = 0; l <= h; ++l)
-      result.level_occupancy[l] = ws.active.occupancy(l);
-    result.breakdown["active"].boxes_active += ws.active.total_active();
-    result.breakdown["active"].boxes_total += ws.active.total_dense();
+    internal::refresh_active_levels(hier, ws, result.breakdown["active"]);
+    internal::record_occupancy(ws.active, result);
   }
-  result.breakdown["workspace"].allocs +=
-      ws.allocs.load(std::memory_order_relaxed);
-  result.workspace_allocs = result.breakdown["workspace"].allocs;
   result.active_boxes = 0;
   for (int l = 0; l <= h; ++l) result.active_boxes += hier.boxes_at(l);
-  result.workspace_bytes = ws.workspace_bytes();
-  internal::publish_view(ws, config_, n, view);
-  if (step_enabled) {
-    step.valid = true;
-    step.n = n;
-    step.depth = h;
-    step.cube = hier.root();
-    // A dense solve leaves the sparse structures stale relative to the new
-    // sorted order; the next sparse solve must rebuild them.
-    step.active_valid = false;
-    step.cost_valid = false;
+
+  // Dense executor: every stage iterates whole levels — leaf stages over
+  // flat box ranges, the upward/downward passes over parent (z, y) rows,
+  // T2 over target z slabs (supernodes: (octant, parent z) units).
+  const std::size_t k = config_.params.k();
+  SharedContext ctx{config_, plan, hier, ws};
+  const auto rows = [&](int l) {
+    const std::size_t np = hier.boxes_per_side(l);
+    return np * np;
+  };
+  internal::PipelineStages st;
+  st.far_depth = h;
+  st.leaves = hier.boxes_at(h);
+  st.prepare_levels = [&] {
+    ws.prepare_levels(h, k);
+    ws.arena.ensure(pool.size(), ws.allocs);
+    if (!config_.supernodes) {
+      // Pre-grow the padded source grid to its largest (leaf) level so the
+      // per-level pad stages only write, never resize.
+      const std::size_t np =
+          hier.boxes_per_side(h) + 2 * (2 * config_.separation + 1);
+      internal::grow(ws.pad, np * np * np * k, ws.allocs);
+    }
+  };
+  st.p2m = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
+    internal::p2m_leaves(config_, hier, ws, {}, lo, hi, s);
+  };
+  st.l2p = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
+    internal::l2p_leaves(config_, hier, ws, {}, lo, hi, s);
+  };
+  st.upward = {rows, [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
+                         PhaseStats& s) { upward_chunk(ctx, l, c, lo, hi, s); }};
+  st.downward = {[&](int l) { return rows(l - 1); },
+                 [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
+                     PhaseStats& s) { downward_chunk(ctx, l, c, lo, hi, s); }};
+  if (config_.supernodes) {
+    st.interactive = {
+        [&](int l) {
+          return 8 * static_cast<std::size_t>(hier.boxes_per_side(l - 1));
+        },
+        [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
+            PhaseStats& s) { supernode_chunk(ctx, l, c, lo, hi, s); }};
+  } else {
+    st.pad = {[&](int l) {
+                return static_cast<std::size_t>(
+                    hier.boxes_per_side(l) + 2 * (2 * config_.separation + 1));
+              },
+              [&](int l, std::size_t, std::size_t lo, std::size_t hi,
+                  PhaseStats& s) { pad_chunk(ctx, l, lo, hi, s); }};
+    st.interactive = {
+        [&](int l) {
+          return static_cast<std::size_t>(hier.boxes_per_side(l));
+        },
+        [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
+            PhaseStats& s) { interactive_chunk(ctx, l, c, lo, hi, s); }};
   }
+  const std::span<const tree::Offset> offsets =
+      plan.near_list(config_.near_symmetry);
+  st.near = [&, offsets](NearFieldScratch::Chunk& ch, std::size_t lo,
+                         std::size_t hi) {
+    return near_field_chunk(hier, ws.boxed, offsets, config_.near_symmetry,
+                            config_.with_gradient, ch, lo, hi, impl_->near);
+  };
+  st.level_boxes = [&](int l) { return hier.boxes_at(l); };
+  // A dense solve leaves the cost model stale relative to the new sorted
+  // order; the next sparse solve rebuilds it and the active sets.
+  st.active_valid = false;
+  st.cost_valid = false;
+  internal::run_pipeline(st, config_, hier, ws, pool, n, sort_repaired, view,
+                         result);
   return result;
 }
 

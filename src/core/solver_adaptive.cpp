@@ -27,7 +27,6 @@
 // count. Warm solves reuse every buffer (zero heap growth).
 
 #include <algorithm>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,6 +35,7 @@
 #include "hfmm/core/solver.hpp"
 #include "hfmm/dp/sort.hpp"
 #include "hfmm/tree/refinement.hpp"
+#include "pipeline.hpp"
 #include "solver_internal.hpp"
 #include "sparse_chunks.hpp"
 
@@ -46,10 +46,6 @@ namespace {
 using internal::ActiveContext;
 using internal::FmmPlan;
 using internal::SolveWorkspace;
-using internal::downward_chunk;
-using internal::interactive_chunk;
-using internal::supernode_chunk;
-using internal::upward_chunk;
 
 // P2M over front leaves [lo, hi): a leaf's outer approximation, at the
 // LEAF'S level and sphere radius, accumulates every run of its subtree
@@ -131,11 +127,9 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
                                      bool sort_repaired) {
   const FmmPlan& plan = *impl_->plan;
   SolveWorkspace& ws = impl_->ws;
-  ThreadPool& pool = *impl_->pool;
   const std::size_t n = particles.size();
   const std::size_t k = config_.params.k();
   const int h = hier.depth();
-  const std::size_t W = pool.size();
 
   const std::span<const tree::Offset> near_full{plan.near_offsets};
   const std::span<const tree::Offset> near_half{plan.near_half_offsets};
@@ -152,16 +146,7 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   // nothing here.
   {
     ScopedPhaseTimer timer(result.breakdown["active"]);
-    if (ws.step.cur_incremental && !ws.step.cur_emptiness_changed &&
-        ws.step.active_valid) {
-      // No box flipped empty <-> non-empty: the full active sets still match.
-      result.breakdown["active"].plan_reuse += 1;
-    } else {
-      const std::size_t cap_before = ws.active.capacity_bytes();
-      tree::build_active_levels(hier, ws.occupied, ws.active);
-      if (ws.active.capacity_bytes() != cap_before)
-        ws.allocs.fetch_add(1, std::memory_order_relaxed);
-    }
+    internal::refresh_active_levels(hier, ws, result.breakdown["active"]);
 
     const tree::LevelActiveSet& fine = ws.active.levels[h];
     const std::size_t nfine = fine.count();
@@ -325,165 +310,36 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   for (int l = 0; l <= maxL; ++l)
     result.level_occupancy[l] = act.occupancy(l);
 
-  const std::size_t nf_chunks =
-      std::max<std::size_t>(1, W == 1 ? 1 : std::min(nl, 4 * W));
-
+  // The far chain runs over the pruned refined tree down to the deepest
+  // front level; the leaf stages act on the front, split by subtree body
+  // counts, and the near field on its U list, split by exact pair counts.
   ActiveContext ctx{config_, plan, hier, ws, act, &ws.pruned_leaf};
-  using exec::NodeId;
-  exec::PhaseGraph g;
-
-  const NodeId sort = g.add_serial(sort_repaired ? "sort.incremental" : "sort",
-                                   "sort", [](PhaseStats&) {});
-  const NodeId prep_levels =
-      g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
-        ws.prepare_levels_sparse(act, k);
-      });
-  const NodeId prep_out =
-      g.add_serial("prepare:outputs", "workspace", [&](PhaseStats&) {
-        ws.prepare_outputs(n, config_.with_gradient);
-        if (ws.near_scratch.chunks.size() < nf_chunks)
-          ws.near_scratch.chunks.resize(nf_chunks);
-        if (view == nullptr) {
-          result.phi.assign(n, 0.0);
-          if (config_.with_gradient) result.grad.assign(n, Vec3{});
-        }
-      });
-
-  const NodeId p2m = g.add_weighted(
-      "p2m", "p2m", ws.leaf_cost, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        p2m_front_chunk(ctx, lo, hi, st);
-      });
-  g.depend(p2m, sort);
-  g.depend(p2m, prep_levels);
-
-  // Upward chain over the pruned parents; up[l] completes far[l] (leaves at
-  // level l were written directly by P2M — the gemvs accumulate on top).
-  std::vector<NodeId> up(maxL, p2m);
-  NodeId chain = p2m;
-  for (int l = maxL - 1; l >= 1; --l) {
-    const NodeId id = g.add(
-        "upward:L" + std::to_string(l), "upward", act.levels[l].count(), 0,
-        [&, l](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-          upward_chunk(ctx, l, lo, hi, st);
-        });
-    g.depend(id, chain);
-    up[l] = id;
-    chain = id;
-  }
-  const auto far_ready = [&](int l) { return l == maxL ? p2m : up[l]; };
-
-  for (int l = 2; l <= maxL; ++l) {
-    const std::string ls = std::to_string(l);
-    const std::size_t nl_act = act.levels[l].count();
-    NodeId t3 = 0;
-    const bool has_t3 = l > 2;
-    if (has_t3) {
-      t3 = g.add(
-          "downward:L" + ls, "downward", nl_act, 0,
-          [&, l](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-            downward_chunk(ctx, l, lo, hi, st);
-          });
-      g.depend(t3, chain);  // local[l-1] complete
-    }
-    const NodeId id =
-        config_.supernodes
-            ? g.add("interactive:L" + ls, "interactive", nl_act, 0,
-                    [&, l](std::size_t, std::size_t lo, std::size_t hi,
-                           PhaseStats& st) {
-                      supernode_chunk(ctx, l, lo, hi, st);
-                    })
-            : g.add("interactive:L" + ls, "interactive", nl_act, 0,
-                    [&, l](std::size_t, std::size_t lo, std::size_t hi,
-                           PhaseStats& st) {
-                      interactive_chunk(ctx, l, lo, hi, st);
-                    });
-    g.depend(id, config_.supernodes ? far_ready(l - 1) : far_ready(l));
-    if (has_t3) g.depend(id, t3);
-    chain = id;
-  }
-
-  const NodeId l2p = g.add_weighted(
-      "l2p", "l2p", ws.leaf_cost, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        l2p_front_chunk(ctx, lo, hi, st);
-      });
-  g.depend(l2p, chain);
-  g.depend(l2p, prep_out);
-
-  // Near field over the front leaves — the U list — chunked by exact pair
-  // counts so no worker inherits the whole cluster core.
-  const NodeId near = g.add_weighted(
-      "near", "near", ws.near_cost, nf_chunks,
-      [&](std::size_t c, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        const AdaptiveLeafPlan aplan{ws.run_begin, ws.run_bounds,
-                                     ws.pair_begin, ws.pair_leaf};
-        const NearFieldResult nf = near_field_adaptive_chunk(
-            ws.boxed, aplan, config_.with_gradient, ws.near_scratch.chunks[c],
-            lo, hi, config_.softening);
-        st.flops += nf.flops;
-        st.pairs += nf.pair_interactions;
-      },
-      /*priority=*/1);
-  g.depend(near, sort);
-  g.depend(near, prep_out);
-
-  const NodeId acc = g.add(
-      "accumulate", "accumulate", n, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats&) {
-        near_field_accumulate(ws.near_scratch, nf_chunks,
-                              config_.with_gradient, ws.phi_sorted,
-                              ws.grad_sorted, lo, hi);
-        if (view != nullptr) return;  // streamed: outputs stay sorted
-        for (std::size_t i = lo; i < hi; ++i) {
-          result.phi[ws.boxed.perm[i]] = ws.phi_sorted[i];
-          if (config_.with_gradient)
-            result.grad[ws.boxed.perm[i]] = ws.grad_sorted[i];
-        }
-      });
-  g.depend(acc, l2p);
-  g.depend(acc, near);
-
-  g.run(pool,
-        config_.mode == ExecutionMode::kThreads ? exec::RunMode::kConcurrent
-                                                : exec::RunMode::kInline,
-        result.breakdown, &result.timeline);
-
-  // Per-phase occupancy: the leaf phases visit the front (vs. the dense
-  // cap-level leaves a uniform executor would visit); the translation
-  // phases visit the pruned sets of their levels.
-  const auto record = [&](const char* phase, int lo_l, int hi_l) {
-    PhaseStats& st = result.breakdown[phase];
-    for (int l = lo_l; l <= hi_l; ++l) {
-      st.boxes_active += act.levels[l].count();
-      st.boxes_total += hier.boxes_at(l);
-    }
+  internal::PipelineStages st;
+  st.far_depth = maxL;
+  st.leaves = nl;
+  st.leaf_cost = ws.leaf_cost;
+  st.near_cost = ws.near_cost;
+  st.prepare_levels = [&] { ws.prepare_levels(act.depth, k, &act); };
+  st.p2m = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
+    p2m_front_chunk(ctx, lo, hi, s);
   };
-  for (const char* phase : {"p2m", "l2p", "near"}) {
-    PhaseStats& st = result.breakdown[phase];
-    st.boxes_active += nl;
-    st.boxes_total += hier.boxes_at(h);
-  }
-  record("upward", 1, maxL - 1);
-  record("interactive", 2, maxL);
-  if (maxL > 2) record("downward", 3, maxL);
-
-  result.breakdown["workspace"].allocs +=
-      ws.allocs.load(std::memory_order_relaxed);
-  result.workspace_allocs = result.breakdown["workspace"].allocs;
-  result.workspace_bytes = ws.workspace_bytes();
-  internal::publish_view(ws, config_, n, view);
-  if (config_.step_incremental) {
-    ws.step.valid = true;
-    ws.step.n = n;
-    ws.step.depth = h;
-    ws.step.cube = hier.root();
-    // The full active sets match the sort (reusable); the front and its
-    // plans are rebuilt per solve, and ws.leaf_cost/near_cost now describe
-    // front leaves — a later sparse solve must rebuild them.
-    ws.step.active_valid = true;
-    ws.step.cost_valid = false;
-  }
+  st.l2p = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
+    l2p_front_chunk(ctx, lo, hi, s);
+  };
+  internal::set_active_level_stages(ctx, st);
+  st.near = [&](NearFieldScratch::Chunk& ch, std::size_t lo, std::size_t hi) {
+    const AdaptiveLeafPlan aplan{ws.run_begin, ws.run_bounds, ws.pair_begin,
+                                 ws.pair_leaf};
+    return near_field_adaptive_chunk(ws.boxed, aplan, config_.with_gradient,
+                                     ch, lo, hi, config_.kernel.softening);
+  };
+  // The full active sets match the sort (reusable); the front and its plans
+  // are rebuilt per solve, and ws.leaf_cost/near_cost now describe front
+  // leaves — a later sparse solve must rebuild them.
+  st.active_valid = true;
+  st.cost_valid = false;
+  internal::run_pipeline(st, config_, hier, ws, *impl_->pool, n,
+                         sort_repaired, view, result);
   return result;
 }
 

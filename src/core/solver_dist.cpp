@@ -46,6 +46,7 @@
 #include "hfmm/dp/sort.hpp"
 #include "hfmm/tree/active_set.hpp"
 #include "hfmm/tree/ownership.hpp"
+#include "pipeline.hpp"
 #include "solver_internal.hpp"
 #include "sparse_chunks.hpp"
 
@@ -72,8 +73,6 @@ using internal::FmmPlan;
 using internal::SolveWorkspace;
 using internal::downward_chunk;
 using internal::interactive_chunk;
-using internal::l2p_chunk;
-using internal::p2m_chunk;
 using internal::particles_in;
 using internal::supernode_chunk;
 using internal::upward_chunk;
@@ -326,18 +325,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
 
   // "active" phase: global active sets + cost model, shared with the sparse
   // executor (and feeding the partitioner below).
-  internal::update_active_costs(config_, plan, hier, periodic, gws,
-                                result.breakdown);
+  internal::update_active_costs(config_, plan, hier, periodic, gws, result);
   const tree::ActiveLevels& act = gws.active;
-  result.sparse = true;
-  result.active_boxes = act.total_active();
-  result.level_occupancy.resize(h + 1);
-  for (int l = 0; l <= h; ++l) result.level_occupancy[l] = act.occupancy(l);
-  {
-    PhaseStats& st = result.breakdown["active"];
-    st.boxes_active += act.total_active();
-    st.boxes_total += act.total_dense();
-  }
 
   if (impl_->dist == nullptr)
     impl_->dist = std::make_shared<internal::DistState>();
@@ -471,7 +460,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
     const NodeId prep =
         g.add_serial("prepare", "workspace", [&, r](PhaseStats&) {
           SolveWorkspace& wr = *runs[r].ws;
-          if (far_capable) wr.prepare_levels_sparse(runs[r].rt->act, k);
+          const tree::ActiveLevels& act_r = runs[r].rt->act;
+          if (far_capable) wr.prepare_levels(act_r.depth, k, &act_r);
           wr.prepare_outputs(runs[r].n_own, with_gradient);
           if (wr.near_scratch.chunks.empty()) wr.near_scratch.chunks.resize(1);
         });
@@ -501,7 +491,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
       const NodeId p2m = g.add(
           "p2m", "p2m", rtr.owned[h], 1,
           [&, r](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-            p2m_chunk(ctxs[r], lo, hi, st);
+            internal::p2m_leaves(config_, hier, *runs[r].ws,
+                                 ctxs[r].act.levels[h].boxes, lo, hi, st);
           });
       g.depend(p2m, prep);
 
@@ -597,7 +588,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
       const NodeId l2p = g.add(
           "l2p", "l2p", rtr.owned[h], 1,
           [&, r](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-            l2p_chunk(ctxs[r], lo, hi, st);
+            internal::l2p_leaves(config_, hier, *runs[r].ws,
+                                 ctxs[r].act.levels[h].boxes, lo, hi, st);
           });
       g.depend(l2p, chain);
       g.depend(l2p, prep);
@@ -676,21 +668,9 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
 
   // Per-phase occupancy over the global active sets (the rank partitions
   // tile them exactly).
-  const auto record = [&](const char* phase, int lo_l, int hi_l) {
-    PhaseStats& st = result.breakdown[phase];
-    for (int l = lo_l; l <= hi_l; ++l) {
-      st.boxes_active += act.levels[l].count();
-      st.boxes_total += hier.boxes_at(l);
-    }
-  };
-  record("near", h, h);
-  if (far_capable) {
-    record("p2m", h, h);
-    record("l2p", h, h);
-    record("upward", 1, h - 1);
-    record("interactive", 2, h);
-    if (h > 2) record("downward", 3, h);
-  }
+  internal::record_phase_boxes(
+      hier, h, nl, [&](int l) { return act.levels[l].count(); }, far_capable,
+      result.breakdown);
 
   std::uint64_t allocs = gws.allocs.load(std::memory_order_relaxed);
   std::size_t ws_bytes = gws.workspace_bytes();
@@ -702,14 +682,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   result.workspace_allocs = result.breakdown["workspace"].allocs;
   result.workspace_bytes = ws_bytes;
   internal::publish_view(gws, config_, n, view);
-  if (config_.step_incremental) {
-    gws.step.valid = true;
-    gws.step.n = n;
-    gws.step.depth = h;
-    gws.step.cube = hier.root();
-    gws.step.active_valid = true;
-    gws.step.cost_valid = true;
-  }
+  if (config_.step_incremental)
+    gws.step.remember(n, hier, /*active_ok=*/true, /*cost_ok=*/true);
   return result;
 }
 

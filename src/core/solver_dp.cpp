@@ -146,7 +146,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
           ws.allocs.fetch_add(1, std::memory_order_relaxed);
         const double occ = ws.active.occupancy(h);
         use_mask = config_.hierarchy == HierarchyMode::kSparse ||
-                   occ < config_.sparse_threshold;
+                   occ < internal::kSparseOccupancy;
         stats.boxes_active += ws.active.total_active();
         stats.boxes_total += ws.active.total_dense();
       });

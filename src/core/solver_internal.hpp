@@ -252,6 +252,18 @@ struct StepCache {
   bool cur_incremental = false;  ///< this solve stepped from the cache
   bool cur_counts_changed = true;
   bool cur_emptiness_changed = true;
+
+  // Records the sort state a solve leaves for the next step, and whether
+  // ws.active / ws.leaf_cost+near_cost describe that sort.
+  void remember(std::size_t n_solved, const tree::Hierarchy& hier,
+                bool active_ok, bool cost_ok) {
+    valid = true;
+    n = n_solved;
+    depth = hier.depth();
+    cube = hier.root();
+    active_valid = active_ok;
+    cost_valid = cost_ok;
+  }
 };
 
 struct SolveWorkspace {
@@ -302,38 +314,24 @@ struct SolveWorkspace {
 
   void begin_solve() { allocs.store(0, std::memory_order_relaxed); }
 
-  // Grows the level stores to (depth, k) and zeroes levels 0..depth.
-  void prepare_levels(int depth, std::size_t k) {
+  // Grows the level stores for levels 0..depth and zeroes them. Dense
+  // stores hold every box, [level][flat_box * K + i]; with active sets
+  // `act` they hold only the active boxes, [level][active_index * K + i] —
+  // the sparse path's memory win, |active_l| * K instead of 8^l * K.
+  void prepare_levels(int depth, std::size_t k,
+                      const tree::ActiveLevels* act = nullptr) {
     if (far.size() < static_cast<std::size_t>(depth) + 1) {
       allocs.fetch_add(1, std::memory_order_relaxed);
       far.resize(depth + 1);
       local.resize(depth + 1);
     }
     for (int l = 0; l <= depth; ++l) {
-      const std::size_t boxes = std::size_t{1} << (3 * l);
+      const std::size_t boxes = act != nullptr ? act->levels[l].count()
+                                               : std::size_t{1} << (3 * l);
       grow(far[l], boxes * k, allocs);
       grow(local[l], boxes * k, allocs);
       std::fill(far[l].begin(), far[l].end(), 0.0);
       std::fill(local[l].begin(), local[l].end(), 0.0);
-    }
-  }
-
-  // Sparse analogue of prepare_levels(): level stores hold only the active
-  // boxes, [level][active_index * K + i]. This is where the sparse path's
-  // memory win comes from — |active_l| * K instead of 8^l * K per level.
-  void prepare_levels_sparse(const tree::ActiveLevels& act, std::size_t k) {
-    const std::size_t depth = static_cast<std::size_t>(act.depth);
-    if (far.size() < depth + 1) {
-      allocs.fetch_add(1, std::memory_order_relaxed);
-      far.resize(depth + 1);
-      local.resize(depth + 1);
-    }
-    for (std::size_t l = 0; l <= depth; ++l) {
-      const std::size_t boxes = act.levels[l].count();
-      grow(far[l], boxes * k, allocs);
-      grow(local[l], boxes * k, allocs);
-      std::fill(far[l].begin(), far[l].begin() + boxes * k, 0.0);
-      std::fill(local[l].begin(), local[l].begin() + boxes * k, 0.0);
     }
   }
 
@@ -378,15 +376,34 @@ struct SolveWorkspace {
   }
 };
 
+// Leaf occupancy (fraction of non-empty leaf boxes) below which
+// HierarchyMode::kAuto selects the sparse active-box path: the
+// shared-memory dispatch picks the sparse executor, the data-parallel
+// executor masks its multigrid moves. Dense (near-)uniform inputs keep the
+// dense path and its exact bit patterns.
+inline constexpr double kSparseOccupancy = 0.9;
+
+// Rebuilds the active level sets ws.active from ws.occupied, unless an
+// incremental step flipped no box empty <-> non-empty and the cached sets
+// still match the sort — a reuse counted on `active`. Defined in
+// solver_sparse.cpp, like the two helpers below.
+void refresh_active_levels(const tree::Hierarchy& hier, SolveWorkspace& ws,
+                           PhaseStats& active);
+
+// Reports the occupancy of `act`: result.level_occupancy per level, and
+// the active/total box counts of the "active" phase.
+void record_occupancy(const tree::ActiveLevels& act, FmmResult& result);
+
 // Derives/revalidates the sparse active level sets (ws.active) and the
 // per-active-leaf cost model (ws.leaf_cost / ws.near_cost) from the sort
 // output in ws.boxed/ws.occupied — the "active" phase, shared by the sparse
-// and distributed executors. Reads the step-cache transients to pick
-// between full rebuild, diff-driven patch, and reuse. `periodic` selects
-// wrapped neighbour counting (periodic vdW). Defined in solver_sparse.cpp.
+// and distributed executors — and records the sets' occupancy on `result`.
+// Reads the step-cache transients to pick between full rebuild,
+// diff-driven patch, and reuse. `periodic` selects wrapped neighbour
+// counting (periodic vdW).
 void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
                          const tree::Hierarchy& hier, bool periodic,
-                         SolveWorkspace& ws, PhaseBreakdown& breakdown);
+                         SolveWorkspace& ws, FmmResult& result);
 
 // Distributed-executor state (partition, LET plan, per-rank workspaces);
 // defined in solver_dist.cpp and owned via shared_ptr so Impl's destructor

@@ -22,7 +22,6 @@
 // depend on scheduling or worker count.
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "hfmm/anderson/kernels.hpp"
@@ -32,6 +31,7 @@
 #include "hfmm/core/solver.hpp"
 #include "hfmm/dp/sort.hpp"
 #include "hfmm/tree/active_set.hpp"
+#include "pipeline.hpp"
 #include "solver_internal.hpp"
 #include "sparse_chunks.hpp"
 
@@ -42,15 +42,34 @@ namespace {
 using internal::ActiveContext;
 using internal::FmmPlan;
 using internal::SolveWorkspace;
-using internal::downward_chunk;
-using internal::interactive_chunk;
-using internal::l2p_chunk;
-using internal::p2m_chunk;
 using internal::particles_in;
-using internal::supernode_chunk;
-using internal::upward_chunk;
 
 }  // namespace
+
+void internal::refresh_active_levels(const tree::Hierarchy& hier,
+                                     SolveWorkspace& ws, PhaseStats& active) {
+  if (ws.step.cur_incremental && !ws.step.cur_emptiness_changed &&
+      ws.step.active_valid) {
+    // No box flipped empty <-> non-empty: the active level sets (and the
+    // dense->active maps) from the previous step are still exact.
+    active.plan_reuse += 1;
+    return;
+  }
+  const std::size_t cap_before = ws.active.capacity_bytes();
+  tree::build_active_levels(hier, ws.occupied, ws.active);
+  if (ws.active.capacity_bytes() != cap_before)
+    ws.allocs.fetch_add(1, std::memory_order_relaxed);
+}
+
+void internal::record_occupancy(const tree::ActiveLevels& act,
+                                FmmResult& result) {
+  result.level_occupancy.resize(act.depth + 1);
+  for (int l = 0; l <= act.depth; ++l)
+    result.level_occupancy[l] = act.occupancy(l);
+  PhaseStats& st = result.breakdown["active"];
+  st.boxes_active += act.total_active();
+  st.boxes_total += act.total_dense();
+}
 
 // Derives the active level sets and the per-leaf cost model (the "active"
 // phase), shared by the sparse and distributed executors: particle counts
@@ -64,27 +83,30 @@ void internal::update_active_costs(const FmmConfig& config,
                                    const internal::FmmPlan& plan,
                                    const tree::Hierarchy& hier, bool periodic,
                                    internal::SolveWorkspace& ws,
-                                   PhaseBreakdown& breakdown) {
+                                   FmmResult& result) {
   const int h = hier.depth();
   const std::span<const tree::Offset> offsets =
       plan.near_list(config.near_symmetry);
+  PhaseBreakdown& breakdown = result.breakdown;
   ScopedPhaseTimer timer(breakdown["active"]);
+  refresh_active_levels(hier, ws, breakdown["active"]);
   const bool structures_ok =
       ws.step.cur_incremental && !ws.step.cur_emptiness_changed;
-  if (structures_ok && ws.step.active_valid) {
-    // No box flipped empty <-> non-empty: the active level sets (and the
-    // dense->active maps) from the previous step are still exact.
-    breakdown["active"].plan_reuse += 1;
-  } else {
-    const std::size_t cap_before = ws.active.capacity_bytes();
-    tree::build_active_levels(hier, ws.occupied, ws.active);
-    if (ws.active.capacity_bytes() != cap_before)
-      ws.allocs.fetch_add(1, std::memory_order_relaxed);
-  }
 
   const tree::LevelActiveSet& leaves = ws.active.levels[h];
   const std::size_t nl = leaves.count();
   const std::int32_t nside = hier.boxes_per_side(h);
+  // Maps a neighbour coordinate onto the leaf grid: wrapped when periodic,
+  // false when it falls off a non-periodic grid.
+  const auto on_grid = [&](tree::BoxCoord& c) {
+    if (!periodic)
+      return c.ix >= 0 && c.ix < nside && c.iy >= 0 && c.iy < nside &&
+             c.iz >= 0 && c.iz < nside;
+    c.ix = (c.ix + nside) % nside;
+    c.iy = (c.iy + nside) % nside;
+    c.iz = (c.iz + nside) % nside;
+    return true;
+  };
   // Cost entries for one active leaf (leaf = its particle count, near =
   // its near-field pair count) — the full build and the per-step patch
   // apply the identical formula.
@@ -97,14 +119,7 @@ void internal::update_active_costs(const FmmConfig& config,
     for (const tree::Offset& o : offsets) {
       if (o == tree::Offset{0, 0, 0}) continue;
       tree::BoxCoord nb{c.ix + o.dx, c.iy + o.dy, c.iz + o.dz};
-      if (periodic) {
-        nb.ix = (nb.ix + nside) % nside;
-        nb.iy = (nb.iy + nside) % nside;
-        nb.iz = (nb.iz + nside) % nside;
-      } else if (nb.ix < 0 || nb.ix >= nside || nb.iy < 0 ||
-                 nb.iy >= nside || nb.iz < 0 || nb.iz >= nside) {
-        continue;
-      }
+      if (!on_grid(nb)) continue;
       pairs += t * particles_in(ws.boxed, hier.flat_index(h, nb));
     }
     ws.near_cost[ai] = pairs;
@@ -120,18 +135,10 @@ void internal::update_active_costs(const FmmConfig& config,
       // on the side that owns it, so the inverse offsets cover exactly
       // the dependent entries).
       ws.cost_patch.clear();
-      const tree::LevelActiveSet& la = ws.active.levels[h];
       const auto push_flat = [&](tree::BoxCoord c) {
-        if (periodic) {
-          c.ix = (c.ix + nside) % nside;
-          c.iy = (c.iy + nside) % nside;
-          c.iz = (c.iz + nside) % nside;
-        } else if (c.ix < 0 || c.ix >= nside || c.iy < 0 || c.iy >= nside ||
-                   c.iz < 0 || c.iz >= nside) {
-          return;
-        }
+        if (!on_grid(c)) return;
         const std::int32_t ai =
-            la.dense_to_active[hier.flat_index(h, c)];
+            leaves.dense_to_active[hier.flat_index(h, c)];
         if (ai >= 0) ws.cost_patch.push_back(static_cast<std::uint32_t>(ai));
       };
       for (const std::uint32_t r : ws.sort_scratch.changed_ranks) {
@@ -155,6 +162,9 @@ void internal::update_active_costs(const FmmConfig& config,
     internal::grow(ws.near_cost, nl, ws.allocs);
     for (std::size_t ai = 0; ai < nl; ++ai) cost_at(ai);
   }
+  result.sparse = true;
+  result.active_boxes = ws.active.total_active();
+  record_occupancy(ws.active, result);
 }
 
 // solve() has already run the coordinate sort (charged to "sort"), filled
@@ -169,218 +179,49 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
                                    bool sort_repaired) {
   const FmmPlan& plan = *impl_->plan;
   SolveWorkspace& ws = impl_->ws;
-  ThreadPool& pool = *impl_->pool;
   const std::size_t n = particles.size();
   const std::size_t k = config_.params.k();
   const int h = hier.depth();
-  const std::size_t W = pool.size();
 
   // Derive the active level sets and the per-leaf cost model ("active"
   // phase) — shared with the distributed executor, see update_active_costs.
-  const std::span<const tree::Offset> offsets =
-      plan.near_list(config_.near_symmetry);
-  const bool far_capable = config_.kernel.far_field_capable();
   // Periodic short-range solves wrap box neighbours instead of clipping
   // them, so the cost model must count the wrapped pairs it will evaluate.
   const bool periodic = impl_->near.vdw.period > 0.0;
-  internal::update_active_costs(config_, plan, hier, periodic, ws,
-                                result.breakdown);
+  internal::update_active_costs(config_, plan, hier, periodic, ws, result);
   const tree::ActiveLevels& act = ws.active;
-  result.sparse = true;
-  result.active_boxes = act.total_active();
-  result.level_occupancy.resize(h + 1);
-  for (int l = 0; l <= h; ++l) result.level_occupancy[l] = act.occupancy(l);
-  {
-    PhaseStats& st = result.breakdown["active"];
-    st.boxes_active += act.total_active();
-    st.boxes_total += act.total_dense();
-  }
 
-  const std::size_t active_leaves = act.levels[h].count();
-  // Same policy as the dense executor: one chunk on one worker, 4W
-  // cost-weighted chunks otherwise.
-  const std::size_t nf_cap =
-      W == 1 ? 1 : std::min(active_leaves, 4 * W);
-  const std::size_t nf_chunks = std::max<std::size_t>(1, nf_cap);
-
+  // Every stage iterates active indices; the leaf stages and the near field
+  // split by cost (particle counts / pair counts) so no worker inherits the
+  // whole dense cluster core.
   ActiveContext ctx{config_, plan, hier, ws, act};
-  using exec::NodeId;
-  exec::PhaseGraph g;
-
-  // The sort already ran (solve() needed its output to pick this executor);
-  // the stage stays in the graph as a no-op so the timeline keeps the full
-  // pipeline shape.
-  const NodeId sort = g.add_serial(sort_repaired ? "sort.incremental" : "sort",
-                                   "sort", [](PhaseStats&) {});
-  const NodeId prep_levels =
-      g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
-        if (!far_capable) return;  // no level stores for short-range solves
-        ws.prepare_levels_sparse(act, k);
-      });
-  const NodeId prep_out =
-      g.add_serial("prepare:outputs", "workspace", [&](PhaseStats&) {
-        ws.prepare_outputs(n, config_.with_gradient);
-        if (ws.near_scratch.chunks.size() < nf_chunks)
-          ws.near_scratch.chunks.resize(nf_chunks);
-        if (view == nullptr) {
-          result.phi.assign(n, 0.0);
-          if (config_.with_gradient) result.grad.assign(n, Vec3{});
-        }
-      });
-
-  // Tail of the far-field chain (see the dense executor): short-range
-  // kernels collapse it to empty serial nodes that keep the phase set
-  // stable in the breakdown and timeline.
-  NodeId far_tail = 0;
-  if (!far_capable) {
-    NodeId prev = prep_levels;
-    for (const char* ph :
-         {"p2m", "upward", "interactive", "downward", "l2p"}) {
-      const NodeId id = g.add_serial(ph, ph, [](PhaseStats&) {});
-      g.depend(id, prev);
-      prev = id;
-    }
-    g.depend(prev, sort);
-    g.depend(prev, prep_out);
-    far_tail = prev;
-  } else {
-  const NodeId p2m = g.add_weighted(
-      "p2m", "p2m", ws.leaf_cost, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        p2m_chunk(ctx, lo, hi, st);
-      });
-  g.depend(p2m, sort);
-  g.depend(p2m, prep_levels);
-
-  // Upward chain over active parents; up[l] completes far[l].
-  std::vector<NodeId> up(h, p2m);
-  NodeId chain = p2m;
-  for (int l = h - 1; l >= 1; --l) {
-    const NodeId id = g.add(
-        "upward:L" + std::to_string(l), "upward", act.levels[l].count(), 0,
-        [&, l](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-          upward_chunk(ctx, l, lo, hi, st);
-        });
-    g.depend(id, chain);
-    up[l] = id;
-    chain = id;
-  }
-  const auto far_ready = [&](int l) { return l == h ? p2m : up[l]; };
-
-  // Downward/interactive mirror the dense graph: per level, T3 (l > 2) then
-  // T2, the T3 -> T2 edge fixing the accumulation order into local[l].
-  for (int l = 2; l <= h; ++l) {
-    const std::string ls = std::to_string(l);
-    const std::size_t nl_act = act.levels[l].count();
-    NodeId t3 = 0;
-    const bool has_t3 = l > 2;
-    if (has_t3) {
-      t3 = g.add(
-          "downward:L" + ls, "downward", nl_act, 0,
-          [&, l](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-            downward_chunk(ctx, l, lo, hi, st);
-          });
-      g.depend(t3, chain);  // local[l-1] complete
-    }
-    const NodeId id =
-        config_.supernodes
-            ? g.add(
-                  "interactive:L" + ls, "interactive", nl_act, 0,
-                  [&, l](std::size_t, std::size_t lo, std::size_t hi,
-                         PhaseStats& st) { supernode_chunk(ctx, l, lo, hi, st); })
-            : g.add(
-                  "interactive:L" + ls, "interactive", nl_act, 0,
-                  [&, l](std::size_t, std::size_t lo, std::size_t hi,
-                         PhaseStats& st) {
-                    interactive_chunk(ctx, l, lo, hi, st);
-                  });
-    // Sources: far[l], plus far[l-1] for supernode parent-level entries.
-    g.depend(id, config_.supernodes ? far_ready(l - 1) : far_ready(l));
-    if (has_t3) g.depend(id, t3);
-    chain = id;
-  }
-
-  const NodeId l2p = g.add_weighted(
-      "l2p", "l2p", ws.leaf_cost, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        l2p_chunk(ctx, lo, hi, st);
-      });
-  g.depend(l2p, chain);
-  g.depend(l2p, prep_out);
-  far_tail = l2p;
-  }
-
-  // Near field over the active leaf list, chunked by pair-count cost so no
-  // worker inherits the whole dense cluster core.
+  internal::PipelineStages st;
+  st.far_depth = h;
+  st.leaves = act.levels[h].count();
+  st.leaf_cost = ws.leaf_cost;
+  st.near_cost = ws.near_cost;
+  st.prepare_levels = [&] { ws.prepare_levels(act.depth, k, &act); };
   const std::span<const std::uint32_t> leaf_list{act.levels[h].boxes};
-  const NodeId near = g.add_weighted(
-      "near", "near", ws.near_cost, nf_chunks,
-      [&, offsets, leaf_list](std::size_t c, std::size_t lo, std::size_t hi,
-                              PhaseStats& st) {
-        const NearFieldResult nf = near_field_chunk(
-            hier, ws.boxed, offsets, config_.near_symmetry,
-            config_.with_gradient, ws.near_scratch.chunks[c],
-            leaf_list.subspan(lo, hi - lo), impl_->near);
-        st.flops += nf.flops;
-        st.pairs += nf.pair_interactions;
-      },
-      /*priority=*/1);
-  g.depend(near, sort);
-  g.depend(near, prep_out);
-
-  const NodeId acc = g.add(
-      "accumulate", "accumulate", n, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats&) {
-        near_field_accumulate(ws.near_scratch, nf_chunks,
-                              config_.with_gradient, ws.phi_sorted,
-                              ws.grad_sorted, lo, hi);
-        if (view != nullptr) return;  // streamed: outputs stay sorted
-        for (std::size_t i = lo; i < hi; ++i) {
-          result.phi[ws.boxed.perm[i]] = ws.phi_sorted[i];
-          if (config_.with_gradient)
-            result.grad[ws.boxed.perm[i]] = ws.grad_sorted[i];
-        }
-      });
-  g.depend(acc, far_tail);
-  g.depend(acc, near);
-
-  g.run(pool,
-        config_.mode == ExecutionMode::kThreads ? exec::RunMode::kConcurrent
-                                                : exec::RunMode::kInline,
-        result.breakdown, &result.timeline);
-
-  // Per-phase occupancy: boxes visited vs. the dense counts the phase would
-  // visit (the leaf phases iterate leaves; upward iterates parents 1..h-1;
-  // interactive 2..h; downward 3..h).
-  const auto record = [&](const char* phase, int lo_l, int hi_l) {
-    PhaseStats& st = result.breakdown[phase];
-    for (int l = lo_l; l <= hi_l; ++l) {
-      st.boxes_active += act.levels[l].count();
-      st.boxes_total += hier.boxes_at(l);
-    }
+  st.p2m = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
+    internal::p2m_leaves(config_, hier, ws, leaf_list, lo, hi, s);
   };
-  record("near", h, h);
-  if (far_capable) {
-    record("p2m", h, h);
-    record("l2p", h, h);
-    record("upward", 1, h - 1);
-    record("interactive", 2, h);
-    if (h > 2) record("downward", 3, h);
-  }
-
-  result.breakdown["workspace"].allocs +=
-      ws.allocs.load(std::memory_order_relaxed);
-  result.workspace_allocs = result.breakdown["workspace"].allocs;
-  result.workspace_bytes = ws.workspace_bytes();
-  internal::publish_view(ws, config_, n, view);
-  if (config_.step_incremental) {
-    ws.step.valid = true;
-    ws.step.n = n;
-    ws.step.depth = h;
-    ws.step.cube = hier.root();
-    ws.step.active_valid = true;  // this solve's active sets are current
-    ws.step.cost_valid = true;
-  }
+  st.l2p = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
+    internal::l2p_leaves(config_, hier, ws, leaf_list, lo, hi, s);
+  };
+  internal::set_active_level_stages(ctx, st);
+  const std::span<const tree::Offset> offsets =
+      plan.near_list(config_.near_symmetry);
+  st.near = [&, offsets, leaf_list](NearFieldScratch::Chunk& ch,
+                                    std::size_t lo, std::size_t hi) {
+    return near_field_chunk(hier, ws.boxed, offsets, config_.near_symmetry,
+                            config_.with_gradient, ch,
+                            leaf_list.subspan(lo, hi - lo), impl_->near);
+  };
+  // This solve's active sets and cost entries match the new sort.
+  st.active_valid = true;
+  st.cost_valid = true;
+  internal::run_pipeline(st, config_, hier, ws, *impl_->pool, n,
+                         sort_repaired, view, result);
   return result;
 }
 

@@ -2,10 +2,11 @@
 // Active-set translation chunk bodies shared by the sparse executor
 // (solver_sparse.cpp — one uniform leaf level over full-depth active sets)
 // and the adaptive executor (solver_adaptive.cpp — the pruned leaf-front
-// tree, DESIGN.md Section 15). The arithmetic is identical in both: every
-// stage iterates ACTIVE indices of the supplied level sets and applies the
-// same fixed offset order as the dense path, so results stay
-// bitwise-reproducible regardless of scheduling.
+// tree, DESIGN.md Section 15), plus the uniform-leaf P2M/L2P bodies the
+// dense executor uses too. The arithmetic is identical in both active-set
+// executors: every stage iterates ACTIVE indices of the supplied level
+// sets and applies the same fixed offset order as the dense path, so
+// results stay bitwise-reproducible regardless of scheduling.
 //
 // The only adaptive-specific branch is in supernode_chunk: a parent-level
 // source that is a FRONT LEAF is skipped, because every particle pair
@@ -22,6 +23,7 @@
 #include "hfmm/core/solver.hpp"
 #include "hfmm/dp/sort.hpp"
 #include "hfmm/tree/active_set.hpp"
+#include "pipeline.hpp"
 #include "solver_internal.hpp"
 
 namespace hfmm::core::internal {
@@ -45,65 +47,71 @@ inline std::uint64_t particles_in(const dp::BoxedParticles& boxed,
   return boxed.box_begin[r + 1] - boxed.box_begin[r];
 }
 
-// P2M over active leaves [lo, hi): every active leaf is non-empty by
-// construction, writing its outer approximation at its ACTIVE row. Shared
-// by the sparse and distributed executors — the distributed ranks pass a
-// context whose workspace holds a rank-local particle view and pruned
-// level sets, and the arithmetic is identical because every lookup goes
-// through the context's own boxed/active maps.
-inline void p2m_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
-                      PhaseStats& stats) {
-  const int h = ctx.hier.depth();
-  const std::size_t k = ctx.config.params.k();
-  const double a = ctx.config.params.outer_ratio * ctx.hier.side_at(h);
-  const dp::BoxedParticles& boxed = ctx.ws.boxed;
+// Leaf P2M over items [lo, hi) of the leaf level: item i is the leaf box
+// flats[i] — or box i itself when `flats` is empty (the dense executor) —
+// and writes its outer approximation at row i of far[h]; empty boxes are
+// skipped. Shared by the dense, sparse and distributed executors — the
+// distributed ranks pass a workspace holding a rank-local particle view,
+// and the arithmetic is identical because every lookup goes through that
+// workspace's own boxed maps.
+inline void p2m_leaves(const FmmConfig& config, const tree::Hierarchy& hier,
+                       SolveWorkspace& ws,
+                       std::span<const std::uint32_t> flats, std::size_t lo,
+                       std::size_t hi, PhaseStats& stats) {
+  const int h = hier.depth();
+  const std::size_t k = config.params.k();
+  const double a = config.params.outer_ratio * hier.side_at(h);
+  const dp::BoxedParticles& boxed = ws.boxed;
   const ParticleSet& p = boxed.sorted;
-  const tree::LevelActiveSet& leaves = ctx.act.levels[h];
   std::uint64_t local_flops = 0;
-  for (std::size_t ai = lo; ai < hi; ++ai) {
-    const std::size_t f = leaves.boxes[ai];
+  for (std::size_t i = lo; i < hi; ++i) {
+    const std::size_t f = flats.empty() ? i : flats[i];
     const std::uint32_t rank = boxed.flat_to_rank[f];
     const std::uint32_t b = boxed.box_begin[rank];
     const std::uint32_t e = boxed.box_begin[rank + 1];
-    const tree::BoxCoord c = ctx.hier.coord_of(h, f);
-    anderson::p2m(ctx.config.params, a, ctx.hier.center(h, c),
+    if (b == e) continue;
+    const tree::BoxCoord c = hier.coord_of(h, f);
+    anderson::p2m(config.params, a, hier.center(h, c),
                   p.x().subspan(b, e - b), p.y().subspan(b, e - b),
                   p.z().subspan(b, e - b), p.q().subspan(b, e - b),
-                  {ctx.ws.far[h].data() + ai * k, k});
+                  {ws.far[h].data() + i * k, k});
     local_flops += anderson::p2m_flops(k, e - b);
   }
   stats.flops += local_flops;
 }
 
-inline void l2p_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
-                      PhaseStats& stats) {
-  const int h = ctx.hier.depth();
-  const std::size_t k = ctx.config.params.k();
-  const double a = ctx.config.params.inner_ratio * ctx.hier.side_at(h);
-  const dp::BoxedParticles& boxed = ctx.ws.boxed;
+// Leaf L2P over items [lo, hi), indexed like p2m_leaves.
+inline void l2p_leaves(const FmmConfig& config, const tree::Hierarchy& hier,
+                       SolveWorkspace& ws,
+                       std::span<const std::uint32_t> flats, std::size_t lo,
+                       std::size_t hi, PhaseStats& stats) {
+  const int h = hier.depth();
+  const std::size_t k = config.params.k();
+  const double a = config.params.inner_ratio * hier.side_at(h);
+  const dp::BoxedParticles& boxed = ws.boxed;
   const ParticleSet& p = boxed.sorted;
-  const tree::LevelActiveSet& leaves = ctx.act.levels[h];
-  const std::span<double> phi{ctx.ws.phi_sorted};
-  const std::span<Vec3> grad{ctx.ws.grad_sorted};
+  const std::span<double> phi{ws.phi_sorted};
+  const std::span<Vec3> grad{ws.grad_sorted};
   std::uint64_t local_flops = 0;
-  for (std::size_t ai = lo; ai < hi; ++ai) {
-    const std::size_t f = leaves.boxes[ai];
+  for (std::size_t i = lo; i < hi; ++i) {
+    const std::size_t f = flats.empty() ? i : flats[i];
     const std::uint32_t rank = boxed.flat_to_rank[f];
     const std::uint32_t b = boxed.box_begin[rank];
     const std::uint32_t e = boxed.box_begin[rank + 1];
-    const tree::BoxCoord c = ctx.hier.coord_of(h, f);
-    const std::span<const double> g{ctx.ws.local[h].data() + ai * k, k};
+    if (b == e) continue;
+    const tree::BoxCoord c = hier.coord_of(h, f);
+    const std::span<const double> g{ws.local[h].data() + i * k, k};
     if (grad.empty()) {
-      anderson::l2p(ctx.config.params, a, ctx.hier.center(h, c), g,
+      anderson::l2p(config.params, a, hier.center(h, c), g,
                     p.x().subspan(b, e - b), p.y().subspan(b, e - b),
                     p.z().subspan(b, e - b), phi.subspan(b, e - b));
     } else {
-      anderson::l2p_gradient(ctx.config.params, a, ctx.hier.center(h, c), g,
+      anderson::l2p_gradient(config.params, a, hier.center(h, c), g,
                              p.x().subspan(b, e - b), p.y().subspan(b, e - b),
                              p.z().subspan(b, e - b), phi.subspan(b, e - b),
                              grad.subspan(b, e - b));
     }
-    local_flops += anderson::l2p_flops(k, e - b, ctx.config.params.truncation);
+    local_flops += anderson::l2p_flops(k, e - b, config.params.truncation);
   }
   stats.flops += local_flops;
 }
@@ -247,6 +255,29 @@ inline void supernode_chunk(ActiveContext& ctx, int l, std::size_t lo,
     }
   }
   stats.flops += local_flops;
+}
+
+// Per-level translation stages of an active-set executor: the stage of
+// level l iterates the active indices of ctx.act.levels[l], which are also
+// the boxes the phase reports as visited.
+inline void set_active_level_stages(ActiveContext& ctx, PipelineStages& st) {
+  const auto count = [&ctx](int l) { return ctx.act.levels[l].count(); };
+  st.upward = {count, [&ctx](int l, std::size_t, std::size_t lo,
+                             std::size_t hi, PhaseStats& s) {
+                 upward_chunk(ctx, l, lo, hi, s);
+               }};
+  st.downward = {count, [&ctx](int l, std::size_t, std::size_t lo,
+                               std::size_t hi, PhaseStats& s) {
+                   downward_chunk(ctx, l, lo, hi, s);
+                 }};
+  st.interactive = {count, [&ctx](int l, std::size_t, std::size_t lo,
+                                  std::size_t hi, PhaseStats& s) {
+                      if (ctx.config.supernodes)
+                        supernode_chunk(ctx, l, lo, hi, s);
+                      else
+                        interactive_chunk(ctx, l, lo, hi, s);
+                    }};
+  st.level_boxes = count;
 }
 
 }  // namespace hfmm::core::internal

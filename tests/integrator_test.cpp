@@ -20,7 +20,7 @@ FmmSolver& gravity_solver() {
   static FmmConfig cfg = [] {
     FmmConfig c;
     c.with_gradient = true;
-    c.softening = 0.0;
+    c.kernel.softening = 0.0;
     return c;
   }();
   static FmmSolver solver(cfg);
@@ -68,7 +68,7 @@ TEST(IntegratorTest, CircularBinaryKeepsSeparation) {
 TEST(IntegratorTest, EnergyConservedForCluster) {
   FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.softening = 0.02;
+  cfg.kernel.softening = 0.02;
   FmmSolver solver(cfg);
   SimulationState s;
   s.particles = make_plummer(800, Box3{}, 11, /*mass=*/0.5);
@@ -86,7 +86,7 @@ TEST(IntegratorTest, EnergyConservedForCluster) {
 TEST(IntegratorTest, MomentumConserved) {
   FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.softening = 0.02;
+  cfg.kernel.softening = 0.02;
   FmmSolver solver(cfg);
   SimulationState s;
   s.particles = make_plummer(500, Box3{}, 13, 0.5);
@@ -102,7 +102,7 @@ TEST(IntegratorTest, TimeReversible) {
   // the initial positions to integration accuracy.
   FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.softening = 0.05;
+  cfg.kernel.softening = 0.05;
   FmmSolver solver(cfg);
   SimulationState s;
   s.particles = make_plummer(200, Box3{}, 17, 0.2);
@@ -304,7 +304,7 @@ TEST(IncrementalStep, SparsePatchesOnlyAffectedCostEntries) {
 TEST(IncrementalStep, HundredStepPlummerEnergyDrift) {
   FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.softening = 0.02;
+  cfg.kernel.softening = 0.02;
   cfg.step_incremental = true;
   FmmSolver solver(cfg);
   SimulationState s;

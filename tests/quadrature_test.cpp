@@ -139,6 +139,10 @@ struct RuleCase {
   std::size_t expect_k;
 };
 
+// Print the rule name rather than the raw bytes (which hold pointers and
+// padding): the test list and ctest names must not change between builds.
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
+
 class SphereRuleExactness : public ::testing::TestWithParam<RuleCase> {};
 
 TEST_P(SphereRuleExactness, PropertiesAndMoments) {

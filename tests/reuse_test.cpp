@@ -37,15 +37,31 @@ bool bitwise_equal(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0);
 }
 
-class ReuseModes : public ::testing::TestWithParam<ExecutionMode> {};
+// Every ReuseModes case runs on each hierarchy executor (dense, sparse,
+// adaptive), which all share one phase-graph builder; in data-parallel mode
+// the sparse and adaptive requests select the masked multigrid moves.
+constexpr HierarchyMode kHierarchies[] = {
+    HierarchyMode::kDense, HierarchyMode::kSparse, HierarchyMode::kAdaptive};
+
+class ReuseModes : public ::testing::TestWithParam<ExecutionMode> {
+ protected:
+  FmmConfig config(HierarchyMode hierarchy) const {
+    FmmConfig cfg = base_config(GetParam());
+    cfg.hierarchy = hierarchy;
+    return cfg;
+  }
+};
 
 TEST_P(ReuseModes, ConsecutiveSolvesBitwiseIdentical) {
-  FmmSolver solver(base_config(GetParam()));
   const ParticleSet p = make_uniform(1500, Box3{}, 17);
-  const FmmResult first = solver.solve(p);
-  const FmmResult second = solver.solve(p);
-  EXPECT_TRUE(bitwise_equal(first.phi, second.phi));
-  EXPECT_TRUE(bitwise_equal(first.grad, second.grad));
+  for (const HierarchyMode hm : kHierarchies) {
+    SCOPED_TRACE(to_string(hm));
+    FmmSolver solver(config(hm));
+    const FmmResult first = solver.solve(p);
+    const FmmResult second = solver.solve(p);
+    EXPECT_TRUE(bitwise_equal(first.phi, second.phi));
+    EXPECT_TRUE(bitwise_equal(first.grad, second.grad));
+  }
 }
 
 // Graph-executor determinism: under every aggregation mode (and with
@@ -55,23 +71,26 @@ TEST_P(ReuseModes, ConsecutiveSolvesBitwiseIdentical) {
 // floating-point grouping.
 TEST_P(ReuseModes, DeterministicAcrossAggregationModes) {
   const ParticleSet p = make_uniform(1200, Box3{}, 57);
-  for (const AggregationMode agg :
-       {AggregationMode::kGemv, AggregationMode::kGemm,
-        AggregationMode::kGemmBatch}) {
-    for (const bool sn : {false, true}) {
-      FmmConfig cfg = base_config(GetParam());
-      cfg.aggregation = agg;
-      cfg.supernodes = sn;
-      FmmSolver solver(cfg);
-      const FmmResult first = solver.solve(p);
-      const FmmResult warm = solver.solve(p);
-      EXPECT_TRUE(bitwise_equal(first.phi, warm.phi))
-          << to_string(agg) << " sn=" << sn;
-      EXPECT_TRUE(bitwise_equal(first.grad, warm.grad))
-          << to_string(agg) << " sn=" << sn;
-      FmmSolver fresh(cfg);
-      EXPECT_TRUE(bitwise_equal(first.phi, fresh.solve(p).phi))
-          << to_string(agg) << " sn=" << sn << " (fresh solver)";
+  for (const HierarchyMode hm : kHierarchies) {
+    for (const AggregationMode agg :
+         {AggregationMode::kGemv, AggregationMode::kGemm,
+          AggregationMode::kGemmBatch}) {
+      for (const bool sn : {false, true}) {
+        FmmConfig cfg = config(hm);
+        cfg.aggregation = agg;
+        cfg.supernodes = sn;
+        FmmSolver solver(cfg);
+        const FmmResult first = solver.solve(p);
+        const FmmResult warm = solver.solve(p);
+        EXPECT_TRUE(bitwise_equal(first.phi, warm.phi))
+            << to_string(hm) << " " << to_string(agg) << " sn=" << sn;
+        EXPECT_TRUE(bitwise_equal(first.grad, warm.grad))
+            << to_string(hm) << " " << to_string(agg) << " sn=" << sn;
+        FmmSolver fresh(cfg);
+        EXPECT_TRUE(bitwise_equal(first.phi, fresh.solve(p).phi))
+            << to_string(hm) << " " << to_string(agg) << " sn=" << sn
+            << " (fresh solver)";
+      }
     }
   }
 }
@@ -79,72 +98,88 @@ TEST_P(ReuseModes, DeterministicAcrossAggregationModes) {
 // Every mode's solve runs through the phase graph and reports a per-stage
 // timeline covering the paper's pipeline.
 TEST_P(ReuseModes, TimelineCoversPipelineStages) {
-  FmmSolver solver(base_config(GetParam()));
   const ParticleSet p = make_uniform(1000, Box3{}, 71);
-  const FmmResult r = solver.solve(p);
-  ASSERT_FALSE(r.timeline.empty());
-  std::set<std::string> phases;
-  for (const auto& t : r.timeline) {
-    phases.insert(t.phase);
-    EXPECT_GE(t.end_seconds, t.start_seconds) << t.stage;
-    EXPECT_GE(t.workers, 1u) << t.stage;
-    EXPECT_GE(t.chunks, 1u) << t.stage;
+  for (const HierarchyMode hm : kHierarchies) {
+    SCOPED_TRACE(to_string(hm));
+    FmmConfig cfg = config(hm);
+    // The cost model puts the front for these 1000 uniform bodies at level
+    // 2, whose far chain has no T3 stage; ncrit 8 refines it to level 3.
+    if (hm == HierarchyMode::kAdaptive) cfg.ncrit = 8;
+    FmmSolver solver(cfg);
+    const FmmResult r = solver.solve(p);
+    ASSERT_FALSE(r.timeline.empty());
+    std::set<std::string> phases;
+    for (const auto& t : r.timeline) {
+      phases.insert(t.phase);
+      EXPECT_GE(t.end_seconds, t.start_seconds) << t.stage;
+      EXPECT_GE(t.workers, 1u) << t.stage;
+      EXPECT_GE(t.chunks, 1u) << t.stage;
+    }
+    for (const char* ph : {"sort", "p2m", "upward", "interactive",
+                           "downward", "l2p", "near", "accumulate"})
+      EXPECT_TRUE(phases.count(ph)) << ph;
   }
-  for (const char* ph : {"sort", "p2m", "upward", "interactive", "downward",
-                         "l2p", "near", "accumulate"})
-    EXPECT_TRUE(phases.count(ph)) << ph;
 }
 
 TEST_P(ReuseModes, WarmSolveReusesPlan) {
-  FmmSolver solver(base_config(GetParam()));
   const ParticleSet p = make_uniform(1000, Box3{}, 23);
-  EXPECT_FALSE(solver.plan_ready(p.size()));
-  const FmmResult cold = solver.solve(p);
-  EXPECT_FALSE(cold.plan_reused);
-  EXPECT_GE(cold.breakdown.phases().at("plan").allocs, 1u);
-  EXPECT_TRUE(solver.plan_ready(p.size()));
+  for (const HierarchyMode hm : kHierarchies) {
+    SCOPED_TRACE(to_string(hm));
+    FmmSolver solver(config(hm));
+    EXPECT_FALSE(solver.plan_ready(p.size()));
+    const FmmResult cold = solver.solve(p);
+    EXPECT_FALSE(cold.plan_reused);
+    EXPECT_GE(cold.breakdown.phases().at("plan").allocs, 1u);
+    EXPECT_TRUE(solver.plan_ready(p.size()));
 
-  const FmmResult warm = solver.solve(p);
-  EXPECT_TRUE(warm.plan_reused);
-  EXPECT_EQ(warm.breakdown.phases().at("plan").allocs, 0u);
-  EXPECT_EQ(warm.breakdown.phases().at("plan").seconds, 0.0);
-  EXPECT_EQ(warm.breakdown.phases().at("precompute").seconds, 0.0);
+    const FmmResult warm = solver.solve(p);
+    EXPECT_TRUE(warm.plan_reused);
+    EXPECT_EQ(warm.breakdown.phases().at("plan").allocs, 0u);
+    EXPECT_EQ(warm.breakdown.phases().at("plan").seconds, 0.0);
+    EXPECT_EQ(warm.breakdown.phases().at("precompute").seconds, 0.0);
+  }
 }
 
 TEST_P(ReuseModes, WarmSolveZeroWorkspaceGrowth) {
-  FmmSolver solver(base_config(GetParam()));
   const ParticleSet p = make_uniform(1500, Box3{}, 31);
-  const FmmResult cold = solver.solve(p);
-  EXPECT_GT(cold.workspace_allocs, 0u);  // the cold solve grows the buffers
-  const FmmResult warm = solver.solve(p);
-  EXPECT_EQ(warm.workspace_allocs, 0u);
+  for (const HierarchyMode hm : kHierarchies) {
+    SCOPED_TRACE(to_string(hm));
+    FmmSolver solver(config(hm));
+    const FmmResult cold = solver.solve(p);
+    EXPECT_GT(cold.workspace_allocs, 0u);  // the cold solve grows the buffers
+    const FmmResult warm = solver.solve(p);
+    EXPECT_EQ(warm.workspace_allocs, 0u);
+  }
 }
 
 TEST_P(ReuseModes, WorkspaceSurvivesChangeInN) {
-  FmmConfig cfg = base_config(GetParam());
-  cfg.depth = -1;  // automatic depth, so N drives plan selection
-  FmmSolver solver(cfg);
   const ParticleSet small = make_uniform(300, Box3{}, 41);
   const ParticleSet large = make_uniform(6000, Box3{}, 43);
-  ASSERT_NE(solver.depth_for(small.size()), solver.depth_for(large.size()))
-      << "test needs two N that select different depths";
+  for (const HierarchyMode hm : kHierarchies) {
+    SCOPED_TRACE(to_string(hm));
+    FmmConfig cfg = config(hm);
+    cfg.depth = -1;  // automatic depth, so N drives plan selection
+    FmmSolver solver(cfg);
+    ASSERT_NE(solver.depth_for(small.size()), solver.depth_for(large.size()))
+        << "test needs two N that select different depths";
 
-  const FmmResult first_small = solver.solve(small);
-  const FmmResult first_large = solver.solve(large);  // deeper plan rebuilt
-  EXPECT_FALSE(first_large.plan_reused);
-  const FmmResult second_small = solver.solve(small);  // shallower again
-  EXPECT_FALSE(second_small.plan_reused);
+    const FmmResult first_small = solver.solve(small);
+    const FmmResult first_large = solver.solve(large);  // deeper plan rebuilt
+    EXPECT_FALSE(first_large.plan_reused);
+    const FmmResult second_small = solver.solve(small);  // shallower again
+    EXPECT_FALSE(second_small.plan_reused);
 
-  // Returning to a previously seen N must reproduce the results exactly;
-  // a fresh solver is the oracle.
-  FmmSolver fresh(cfg);
-  const FmmResult oracle = fresh.solve(small);
-  EXPECT_TRUE(bitwise_equal(second_small.phi, oracle.phi));
-  EXPECT_TRUE(bitwise_equal(second_small.grad, oracle.grad));
+    // Returning to a previously seen N must reproduce the results exactly;
+    // a fresh solver is the oracle.
+    FmmSolver fresh(cfg);
+    const FmmResult oracle = fresh.solve(small);
+    EXPECT_TRUE(bitwise_equal(second_small.phi, oracle.phi));
+    EXPECT_TRUE(bitwise_equal(second_small.grad, oracle.grad));
 
-  // And once the depth stabilizes, warmth returns.
-  const FmmResult warm = solver.solve(small);
-  EXPECT_TRUE(warm.plan_reused);
+    // And once the depth stabilizes, warmth returns.
+    const FmmResult warm = solver.solve(small);
+    EXPECT_TRUE(warm.plan_reused);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ReuseModes,

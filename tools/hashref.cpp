@@ -1,5 +1,9 @@
-// Dev harness: prints FNV-1a hashes of solver outputs over a config sweep.
-// Used to verify bitwise-identical results across the exec-graph refactor.
+// Dev harness: prints FNV-1a hashes of solver outputs over a config sweep —
+// the dense executor on uniform input, the sparse and adaptive executors on
+// a clustered (Plummer) input, the van der Waals kernel on the dense and
+// sparse executors, incremental stepping, and the 2-D solver. Build it
+// against two revisions and diff the output to check that a refactor keeps
+// every result bitwise identical (same host, same core count).
 #include <cstdio>
 #include <cstring>
 
@@ -17,6 +21,51 @@ static std::uint64_t fnv(const void* data, std::size_t bytes,
     h *= 1099511628211ull;
   }
   return h;
+}
+
+static std::uint64_t hash_result(const core::FmmResult& r) {
+  const std::uint64_t h = fnv(r.phi.data(), r.phi.size() * 8);
+  return fnv(r.grad.data(), r.grad.size() * sizeof(Vec3), h);
+}
+
+static const char* mode_name(int mode) {
+  return mode == 0 ? "seq" : "threads";
+}
+
+// Cold and warm solve of `p` on one solver.
+static void print_cold_warm(const char* label, int mode,
+                            const core::FmmConfig& cfg, const ParticleSet& p) {
+  core::FmmSolver solver(cfg);
+  const std::uint64_t cold = hash_result(solver.solve(p));
+  const std::uint64_t warm = hash_result(solver.solve(p));
+  std::printf("%s %s cold=%016llx warm=%016llx\n", label, mode_name(mode),
+              static_cast<unsigned long long>(cold),
+              static_cast<unsigned long long>(warm));
+}
+
+// Three incremental steps: every particle drifts a little toward the
+// centre of its bounding box, so the pinned root cube stays valid and the
+// sort is repaired from the movers.
+static void print_incremental(const char* label, int mode,
+                              const core::FmmConfig& cfg, ParticleSet p) {
+  core::FmmConfig step_cfg = cfg;
+  step_cfg.step_incremental = true;
+  core::FmmSolver solver(step_cfg);
+  std::printf("%s %s", label, mode_name(mode));
+  const Vec3 c = p.bounds().center();
+  for (int step = 0; step < 3; ++step) {
+    const core::FmmResult r = solver.solve(p);
+    std::printf(" step%d=%016llx repaired=%llu", step,
+                static_cast<unsigned long long>(hash_result(r)),
+                static_cast<unsigned long long>(
+                    r.breakdown.phases().at("sort").plan_reuse));
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      const Vec3 x = p.position(i);
+      const double f = 0.004 * static_cast<double>((i * 7 + step) % 5) / 4.0;
+      p.set(i, x + f * (c - x), p.q()[i]);
+    }
+  }
+  std::printf("\n");
 }
 
 int main() {
@@ -47,6 +96,75 @@ int main() {
       }
     }
   }
+
+  // The remaining sections run the shared-memory executors only.
+  const ParticleSet plummer = make_plummer(4000, Box3{}, 29);
+  ParticleSet vdw_uniform = make_uniform(3000, Box3{}, 31);
+  ParticleSet vdw_plummer = make_plummer(3000, Box3{}, 37);
+  for (std::size_t i = 0; i < vdw_uniform.size(); ++i) {
+    vdw_uniform.set_type(i, static_cast<std::int32_t>(i % 2));
+    vdw_plummer.set_type(i, static_cast<std::int32_t>(i % 2));
+  }
+  for (int mode = 0; mode < 2; ++mode) {
+    core::FmmConfig base;
+    base.mode = static_cast<core::ExecutionMode>(mode);
+    base.with_gradient = true;
+
+    // Explicit dense hierarchy on uniform input.
+    for (int sn = 0; sn < 2; ++sn) {
+      core::FmmConfig cfg = base;
+      cfg.hierarchy = core::HierarchyMode::kDense;
+      cfg.supernodes = sn != 0;
+      print_cold_warm(sn ? "dense-uniform sn=1" : "dense-uniform sn=0", mode,
+                      cfg, p);
+    }
+    // Sparse and adaptive executors on the clustered input.
+    for (int sn = 0; sn < 2; ++sn) {
+      for (int sym = 0; sym < 2; ++sym) {
+        core::FmmConfig cfg = base;
+        cfg.supernodes = sn != 0;
+        cfg.near_symmetry = sym != 0;
+        char label[64];
+        cfg.hierarchy = core::HierarchyMode::kSparse;
+        std::snprintf(label, sizeof label, "sparse-plummer sn=%d sym=%d", sn,
+                      sym);
+        print_cold_warm(label, mode, cfg, plummer);
+        cfg.hierarchy = core::HierarchyMode::kAdaptive;
+        std::snprintf(label, sizeof label, "adaptive-plummer sn=%d sym=%d",
+                      sn, sym);
+        print_cold_warm(label, mode, cfg, plummer);
+      }
+    }
+    // Van der Waals kernel on the dense and sparse executors.
+    {
+      core::FmmConfig cfg = base;
+      cfg.kernel.type = core::KernelType::kVanDerWaals;
+      cfg.kernel.vdw_rmin = {0.11, 0.14};
+      cfg.kernel.vdw_epsilon = {1.0, 0.55};
+      cfg.kernel.vdw_cuton = 0.16;
+      cfg.kernel.vdw_cutoff = 0.22;
+      cfg.hierarchy = core::HierarchyMode::kDense;
+      print_cold_warm("vdw-dense-uniform", mode, cfg, vdw_uniform);
+      cfg.hierarchy = core::HierarchyMode::kSparse;
+      print_cold_warm("vdw-sparse-plummer", mode, cfg, vdw_plummer);
+      cfg.kernel.vdw_periodic = true;
+      print_cold_warm("vdw-sparse-periodic", mode, cfg, vdw_uniform);
+    }
+    // Incremental stepping on each executor.
+    {
+      core::FmmConfig cfg = base;
+      cfg.kernel.softening = 1e-3;
+      cfg.hierarchy = core::HierarchyMode::kDense;
+      print_incremental("step-dense-uniform", mode, cfg, p);
+      cfg.hierarchy = core::HierarchyMode::kAuto;
+      print_incremental("step-auto-uniform", mode, cfg, p);
+      cfg.hierarchy = core::HierarchyMode::kSparse;
+      print_incremental("step-sparse-plummer", mode, cfg, plummer);
+      cfg.hierarchy = core::HierarchyMode::kAdaptive;
+      print_incremental("step-adaptive-plummer", mode, cfg, plummer);
+    }
+  }
+
   {
     d2::ParticleSet2 p2 = d2::make_uniform2(2500, 23);
     for (int th = 0; th < 2; ++th) {
