@@ -12,10 +12,11 @@
 // reference the tests compare against.
 //
 // Two entry levels:
-//   * near_field() — the orchestrator: chunks the leaf boxes over the pool,
-//     runs near_field_chunk() per chunk, reduces with
-//     near_field_accumulate(). Interaction lists come precomputed from the
-//     caller (the solver's FmmPlan), so repeated solves rebuild nothing.
+//   * near_field() — the orchestrator: splits the leaf boxes into
+//     kNearChunks ranges, runs near_field_chunk() per chunk on the pool,
+//     reduces with near_field_accumulate(). Interaction lists come
+//     precomputed from the caller (the solver's FmmPlan), so repeated
+//     solves rebuild nothing.
 //   * near_field_chunk() / near_field_accumulate() — the chunk-level worker
 //     and reduction the hfmm::exec phase graph drives directly, so the near
 //     field can run concurrently with the far-field stages and meet them at
@@ -23,6 +24,7 @@
 //     the reduction adds chunks in index order (== ascending box ranges),
 //     which keeps threaded solves bitwise-reproducible.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -35,6 +37,16 @@
 #include "hfmm/util/thread_pool.hpp"
 
 namespace hfmm::core {
+
+/// Near-field chunk count of every executor: a near stage over `leaves`
+/// leaf items runs min(leaves, kNearChunks) chunks. The symmetric near
+/// field writes both sides of a box pair into its chunk's buffers, so the
+/// split fixes the floating-point order of each particle's near-field sum.
+/// It therefore depends on the problem only, never on the worker count:
+/// sequential and threaded solves produce the same bits on any host.
+/// Sixteen chunks give up to 16 workers near-field work to take beside the
+/// far-field chain.
+inline constexpr std::size_t kNearChunks = 16;
 
 struct NearFieldResult {
   std::uint64_t flops = 0;

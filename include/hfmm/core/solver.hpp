@@ -140,7 +140,8 @@ class FmmSolver {
   FmmSolver& operator=(const FmmSolver&) = delete;
 
   /// Computes the potential (and optionally gradient) induced at every
-  /// particle by all the others.
+  /// particle by all the others. Throws std::invalid_argument when a
+  /// coordinate or charge is not finite.
   FmmResult solve(const ParticleSet& particles);
 
   /// Streamed variant: leaves the outputs in sorted order behind `view`

@@ -306,24 +306,24 @@ NearFieldResult near_field(const tree::Hierarchy& hier,
   const bool with_gradient = !grad.empty();
   const ParticleSet& p = boxed.sorted;
 
-  // Static chunking mirrors ThreadPool::parallel_chunks, so the chunk index
-  // of a range is just lo / step — no atomic ticket, and chunk-index order
-  // is box-range order by construction. The buffers live in caller-owned
-  // scratch (or a local fallback) so repeated calls — an integrator's
-  // timestep loop — reuse the capacity.
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min(pool.size(), boxes));
+  // kNearChunks equal box ranges, whatever the pool size: the chunk split
+  // fixes the summation order, and chunk-index order is box-range order by
+  // construction. The buffers live in caller-owned scratch (or a local
+  // fallback) so repeated calls — an integrator's timestep loop — reuse the
+  // capacity.
+  const std::size_t chunks =
+      std::max<std::size_t>(1, std::min(kNearChunks, boxes));
   const std::size_t step = (boxes + chunks - 1) / chunks;
   NearFieldScratch local;
   NearFieldScratch& scr = scratch != nullptr ? *scratch : local;
   if (scr.chunks.size() < chunks) scr.chunks.resize(chunks);
   std::vector<NearFieldResult> partial(chunks);
 
-  pool.parallel_chunks(0, boxes, [&](std::size_t lo, std::size_t hi) {
-    const std::size_t me = lo / step;
-    partial[me] = near_field_chunk(hier, boxed, offsets, symmetric,
-                                   with_gradient, scr.chunks[me], lo, hi,
-                                   kern);
+  pool.parallel_for(0, chunks, [&](std::size_t c) {
+    const std::size_t lo = std::min(boxes, c * step);
+    partial[c] = near_field_chunk(hier, boxed, offsets, symmetric,
+                                  with_gradient, scr.chunks[c], lo,
+                                  std::min(boxes, lo + step), kern);
   });
 
   // Reduce chunk buffers into the output, parallel over disjoint particle

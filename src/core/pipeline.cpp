@@ -13,27 +13,22 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
                   SolveView* view, FmmResult& result) {
   const bool far_capable = config.kernel.far_field_capable();
   const int top = stages.far_depth;
-  const std::size_t W = pool.size();
-  // Near-field chunk policy: one chunk on one worker preserves the classic
-  // sequential accumulation bitwise; with threads, finer chunks let idle
-  // workers drain the near field while the far-field chain runs. The count
-  // is fixed here (not by the scheduler), so results are reproducible.
-  const std::size_t nf_chunks = std::max<std::size_t>(
-      1, W == 1 ? 1 : std::min(stages.leaves, 4 * W));
+  // The near stage splits its items by cost into a fixed number of chunks
+  // (kNearChunks): the split, and with it the summation order, never
+  // depends on the worker count.
+  const std::size_t near_items = stages.near_cost.size();
+  const std::size_t nf_chunks =
+      std::max<std::size_t>(1, std::min(near_items, kNearChunks));
 
   using exec::NodeId;
   exec::PhaseGraph g;
-  // Leaf stages split [0, leaves) by equal ranges, or by cost weights.
+  // P2M/L2P split [0, leaves) by equal ranges, or by cost weights.
   const auto add_leaf_stage = [&](const char* name,
-                                  std::span<const std::uint64_t> weights,
-                                  std::size_t max_chunks,
-                                  exec::PhaseGraph::ChunkBody body,
-                                  int priority) {
-    return weights.empty()
-               ? g.add(name, name, stages.leaves, max_chunks, std::move(body),
-                       priority)
-               : g.add_weighted(name, name, weights, max_chunks,
-                                std::move(body), priority);
+                                  exec::PhaseGraph::ChunkBody body) {
+    return stages.leaf_cost.empty()
+               ? g.add(name, name, stages.leaves, 0, std::move(body))
+               : g.add_weighted(name, name, stages.leaf_cost, 0,
+                                std::move(body));
   };
   const auto add_level_stage = [&](const char* prefix, const char* phase,
                                    const LevelStage& stage, int l) {
@@ -79,8 +74,7 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
     g.depend(prev, prep_out);
     far_tail = prev;
   } else {
-    const NodeId p2m = add_leaf_stage("p2m", stages.leaf_cost, 0,
-                                      stages.p2m, /*priority=*/0);
+    const NodeId p2m = add_leaf_stage("p2m", stages.p2m);
     g.depend(p2m, sort);
     g.depend(p2m, prep_levels);
 
@@ -129,8 +123,7 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
       chain = apply;
     }
 
-    const NodeId l2p = add_leaf_stage("l2p", stages.leaf_cost, 0, stages.l2p,
-                                      /*priority=*/0);
+    const NodeId l2p = add_leaf_stage("l2p", stages.l2p);
     g.depend(l2p, chain);
     g.depend(l2p, prep_out);
     far_tail = l2p;
@@ -139,8 +132,8 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
   // The near field is independent of the whole far-field chain: it runs at
   // lower priority so idle workers pick it up, and meets the far field only
   // at the accumulate stage.
-  const NodeId near = add_leaf_stage(
-      "near", stages.near_cost, nf_chunks,
+  const NodeId near = g.add_weighted(
+      "near", "near", stages.near_cost, nf_chunks,
       [&](std::size_t c, std::size_t lo, std::size_t hi, PhaseStats& st) {
         const NearFieldResult nf =
             stages.near(ws.near_scratch.chunks[c], lo, hi);
@@ -176,8 +169,8 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
                                                : exec::RunMode::kInline,
         result.breakdown, &result.timeline);
 
-  record_phase_boxes(hier, top, stages.leaves, stages.level_boxes,
-                     far_capable, result.breakdown);
+  record_phase_boxes(hier, top, stages.leaves, near_items,
+                     stages.level_boxes, far_capable, result.breakdown);
   result.breakdown["workspace"].allocs +=
       ws.allocs.load(std::memory_order_relaxed);
   result.workspace_allocs = result.breakdown["workspace"].allocs;
@@ -188,12 +181,12 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
 }
 
 void record_phase_boxes(const tree::Hierarchy& hier, int far_depth,
-                        std::size_t leaves,
+                        std::size_t leaves, std::size_t near_leaves,
                         const std::function<std::size_t(int)>& level_boxes,
                         bool far_capable, PhaseBreakdown& breakdown) {
-  const auto record_leaves = [&](const char* phase) {
+  const auto record_leaves = [&](const char* phase, std::size_t visited) {
     PhaseStats& st = breakdown[phase];
-    st.boxes_active += leaves;
+    st.boxes_active += visited;
     st.boxes_total += hier.boxes_at(hier.depth());
   };
   const auto record = [&](const char* phase, int lo_l, int hi_l) {
@@ -203,10 +196,10 @@ void record_phase_boxes(const tree::Hierarchy& hier, int far_depth,
       st.boxes_total += hier.boxes_at(l);
     }
   };
-  record_leaves("near");
+  record_leaves("near", near_leaves);
   if (!far_capable) return;
-  record_leaves("p2m");
-  record_leaves("l2p");
+  record_leaves("p2m", leaves);
+  record_leaves("l2p", leaves);
   record("upward", 1, far_depth - 1);
   record("interactive", 2, far_depth);
   if (far_depth > 2) record("downward", 3, far_depth);

@@ -9,7 +9,9 @@
 // it only at the accumulate stage. What differs per executor is data: the
 // deepest far level, the index range or cost weights of each stage, the
 // chunk bodies, the optional dense `pad:L` stages, the near-field body, the
-// per-level box counts it reports, and the step-cache state it leaves.
+// per-level box counts it reports, and the step-cache state it leaves. The
+// near stage always splits by its cost weights into min(items, kNearChunks)
+// chunks, so no split depends on the worker count.
 // PipelineStages carries exactly that; run_pipeline owns the graph.
 
 #include <cstddef>
@@ -37,11 +39,14 @@ struct PipelineStages {
   // Deepest level of the far-field chain: the hierarchy depth for the
   // uniform-leaf executors, the front's max_leaf_level for the adaptive one.
   int far_depth = 0;
-  // Items of the leaf stages (p2m, l2p, near) and their cost weights. Empty
-  // weights split [0, leaves) into equal ranges (dense); otherwise the
-  // stages split by cost and `leaves` equals the weights' size.
+  // Items of the P2M/L2P stages and their cost weights. Empty weights split
+  // [0, leaves) into equal ranges (dense); otherwise the stages split by
+  // cost and `leaves` equals the weights' size.
   std::size_t leaves = 0;
-  std::span<const std::uint64_t> leaf_cost, near_cost;
+  std::span<const std::uint64_t> leaf_cost;
+  // Near-field cost of each near item (its pair count); the near stage
+  // runs over [0, near_cost.size()) split by these weights.
+  std::span<const std::uint64_t> near_cost;
   // Sizes the far/local level stores (runs only for far-field kernels).
   std::function<void()> prepare_levels;
   exec::PhaseGraph::ChunkBody p2m, l2p;
@@ -71,12 +76,12 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
                   SolveView* view, FmmResult& result);
 
 // Adds the per-phase box counts of a solve: boxes visited against the
-// dense box count of the phase's levels. The leaf phases (near, and for
-// far-field kernels p2m/l2p) visit `leaves` of the leaf level's boxes;
+// dense box count of the phase's levels. Near visits `near_leaves` and,
+// for far-field kernels, p2m/l2p visit `leaves` of the leaf level's boxes;
 // upward iterates parents 1..far_depth-1, interactive 2..far_depth and
 // downward 3..far_depth, visiting level_boxes(l) at level l.
 void record_phase_boxes(const tree::Hierarchy& hier, int far_depth,
-                        std::size_t leaves,
+                        std::size_t leaves, std::size_t near_leaves,
                         const std::function<std::size_t(int)>& level_boxes,
                         bool far_capable, PhaseBreakdown& breakdown);
 

@@ -706,6 +706,15 @@ FmmResult FmmSolver::solve(const ParticleSet& particles, SolveView& view) {
 
 FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
                                  SolveView* view) {
+  // A non-finite coordinate would reach the float-to-int leaf index of the
+  // sort (undefined behaviour), and a non-finite charge would poison every
+  // field; every front end solves through here.
+  for (const std::span<const double> a :
+       {particles.x(), particles.y(), particles.z(), particles.q()})
+    for (const double v : a)
+      if (!std::isfinite(v))
+        throw std::invalid_argument(
+            "FmmSolver::solve: non-finite particle coordinate or charge");
   const std::size_t n = particles.size();
   const bool far_capable = config_.kernel.far_field_capable();
   FmmResult result;
@@ -845,20 +854,17 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
                            sort_repaired);
   }
 
-  // Measured leaf occupancy for the result record ("active" phase): the
-  // dense executor does not need the active sets to run, but deriving them
-  // gives benches the same per-level occupancy the sparse path reports.
-  {
-    ScopedPhaseTimer timer(result.breakdown["active"]);
-    internal::refresh_active_levels(hier, ws, result.breakdown["active"]);
-    internal::record_occupancy(ws.active, result);
-  }
+  // The "active" phase: the far-field stages below iterate whole levels,
+  // but the near stage runs over the active leaves split by their pair
+  // counts, shared with the sparse executor.
+  internal::update_active_costs(config_, plan, hier,
+                                impl_->near.vdw.period > 0.0, ws, result);
   result.active_boxes = 0;
   for (int l = 0; l <= h; ++l) result.active_boxes += hier.boxes_at(l);
 
-  // Dense executor: every stage iterates whole levels — leaf stages over
-  // flat box ranges, the upward/downward passes over parent (z, y) rows,
-  // T2 over target z slabs (supernodes: (octant, parent z) units).
+  // Dense executor: every far-field stage iterates whole levels — P2M/L2P
+  // over flat box ranges, the upward/downward passes over parent (z, y)
+  // rows, T2 over target z slabs (supernodes: (octant, parent z) units).
   const std::size_t k = config_.params.k();
   SharedContext ctx{config_, plan, hier, ws};
   const auto rows = [&](int l) {
@@ -911,18 +917,11 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
         [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
             PhaseStats& s) { interactive_chunk(ctx, l, c, lo, hi, s); }};
   }
-  const std::span<const tree::Offset> offsets =
-      plan.near_list(config_.near_symmetry);
-  st.near = [&, offsets](NearFieldScratch::Chunk& ch, std::size_t lo,
-                         std::size_t hi) {
-    return near_field_chunk(hier, ws.boxed, offsets, config_.near_symmetry,
-                            config_.with_gradient, ch, lo, hi, impl_->near);
-  };
+  internal::ActiveContext near_ctx{config_, plan, hier, ws, ws.active};
+  internal::set_active_near_stage(near_ctx, impl_->near, st);
   st.level_boxes = [&](int l) { return hier.boxes_at(l); };
-  // A dense solve leaves the cost model stale relative to the new sorted
-  // order; the next sparse solve rebuilds it and the active sets.
-  st.active_valid = false;
-  st.cost_valid = false;
+  st.active_valid = true;
+  st.cost_valid = true;
   internal::run_pipeline(st, config_, hier, ws, pool, n, sort_repaired, view,
                          result);
   return result;

@@ -326,6 +326,7 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   // "active" phase: global active sets + cost model, shared with the sparse
   // executor (and feeding the partitioner below).
   internal::update_active_costs(config_, plan, hier, periodic, gws, result);
+  result.sparse = true;
   const tree::ActiveLevels& act = gws.active;
 
   if (impl_->dist == nullptr)
@@ -669,8 +670,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   // Per-phase occupancy over the global active sets (the rank partitions
   // tile them exactly).
   internal::record_phase_boxes(
-      hier, h, nl, [&](int l) { return act.levels[l].count(); }, far_capable,
-      result.breakdown);
+      hier, h, nl, nl, [&](int l) { return act.levels[l].count(); },
+      far_capable, result.breakdown);
 
   std::uint64_t allocs = gws.allocs.load(std::memory_order_relaxed);
   std::size_t ws_bytes = gws.workspace_bytes();

@@ -386,18 +386,15 @@ inline constexpr double kSparseOccupancy = 0.9;
 // Rebuilds the active level sets ws.active from ws.occupied, unless an
 // incremental step flipped no box empty <-> non-empty and the cached sets
 // still match the sort — a reuse counted on `active`. Defined in
-// solver_sparse.cpp, like the two helpers below.
+// solver_sparse.cpp, like the helper below.
 void refresh_active_levels(const tree::Hierarchy& hier, SolveWorkspace& ws,
                            PhaseStats& active);
 
-// Reports the occupancy of `act`: result.level_occupancy per level, and
-// the active/total box counts of the "active" phase.
-void record_occupancy(const tree::ActiveLevels& act, FmmResult& result);
-
 // Derives/revalidates the sparse active level sets (ws.active) and the
 // per-active-leaf cost model (ws.leaf_cost / ws.near_cost) from the sort
-// output in ws.boxed/ws.occupied — the "active" phase, shared by the sparse
-// and distributed executors — and records the sets' occupancy on `result`.
+// output in ws.boxed/ws.occupied — the "active" phase, shared by the dense,
+// sparse and distributed executors — and records the sets' occupancy
+// (level_occupancy, active_boxes, the phase's box counts) on `result`.
 // Reads the step-cache transients to pick between full rebuild,
 // diff-driven patch, and reuse. `periodic` selects wrapped neighbour
 // counting (periodic vdW).

@@ -61,21 +61,11 @@ void internal::refresh_active_levels(const tree::Hierarchy& hier,
     ws.allocs.fetch_add(1, std::memory_order_relaxed);
 }
 
-void internal::record_occupancy(const tree::ActiveLevels& act,
-                                FmmResult& result) {
-  result.level_occupancy.resize(act.depth + 1);
-  for (int l = 0; l <= act.depth; ++l)
-    result.level_occupancy[l] = act.occupancy(l);
-  PhaseStats& st = result.breakdown["active"];
-  st.boxes_active += act.total_active();
-  st.boxes_total += act.total_dense();
-}
-
 // Derives the active level sets and the per-leaf cost model (the "active"
-// phase), shared by the sparse and distributed executors: particle counts
-// weight the leaf stages, near-field pair counts weight the near-field
-// chunks (and the distributed partitioner). Both reuse workspace buffers —
-// a warm solve grows nothing here. On an incremental step
+// phase), shared by the dense, sparse and distributed executors: particle
+// counts weight the sparse leaf stages, near-field pair counts weight the
+// near-field chunks (and the distributed partitioner). Both reuse workspace
+// buffers — a warm solve grows nothing here. On an incremental step
 // (ws.step.cur_incremental) the sort diff drives what gets rebuilt: nothing
 // when no box changed occupancy, only the affected cost entries when counts
 // changed without any empty <-> non-empty flip, and everything otherwise.
@@ -162,17 +152,17 @@ void internal::update_active_costs(const FmmConfig& config,
     internal::grow(ws.near_cost, nl, ws.allocs);
     for (std::size_t ai = 0; ai < nl; ++ai) cost_at(ai);
   }
-  result.sparse = true;
-  result.active_boxes = ws.active.total_active();
-  record_occupancy(ws.active, result);
+  const tree::ActiveLevels& act = ws.active;
+  result.active_boxes = act.total_active();
+  result.level_occupancy.resize(act.depth + 1);
+  for (int l = 0; l <= act.depth; ++l)
+    result.level_occupancy[l] = act.occupancy(l);
+  breakdown["active"].boxes_active += act.total_active();
+  breakdown["active"].boxes_total += act.total_dense();
 }
 
 // solve() has already run the coordinate sort (charged to "sort"), filled
 // ws.occupied with the non-empty leaf flats, and decided for this executor.
-// On an incremental step (ws.step.cur_incremental) the sort diff drives
-// what the "active" phase rebuilds: nothing when no box changed occupancy,
-// only the affected cost entries when counts changed without any empty <->
-// non-empty flip, and everything otherwise.
 FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
                                    const tree::Hierarchy& hier,
                                    FmmResult result, SolveView* view,
@@ -183,12 +173,11 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
   const std::size_t k = config_.params.k();
   const int h = hier.depth();
 
-  // Derive the active level sets and the per-leaf cost model ("active"
-  // phase) — shared with the distributed executor, see update_active_costs.
-  // Periodic short-range solves wrap box neighbours instead of clipping
-  // them, so the cost model must count the wrapped pairs it will evaluate.
-  const bool periodic = impl_->near.vdw.period > 0.0;
-  internal::update_active_costs(config_, plan, hier, periodic, ws, result);
+  // The "active" phase. Periodic short-range solves wrap box neighbours, so
+  // the cost model counts the wrapped pairs it will evaluate.
+  internal::update_active_costs(config_, plan, hier,
+                                impl_->near.vdw.period > 0.0, ws, result);
+  result.sparse = true;
   const tree::ActiveLevels& act = ws.active;
 
   // Every stage iterates active indices; the leaf stages and the near field
@@ -199,7 +188,6 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
   st.far_depth = h;
   st.leaves = act.levels[h].count();
   st.leaf_cost = ws.leaf_cost;
-  st.near_cost = ws.near_cost;
   st.prepare_levels = [&] { ws.prepare_levels(act.depth, k, &act); };
   const std::span<const std::uint32_t> leaf_list{act.levels[h].boxes};
   st.p2m = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
@@ -209,14 +197,7 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
     internal::l2p_leaves(config_, hier, ws, leaf_list, lo, hi, s);
   };
   internal::set_active_level_stages(ctx, st);
-  const std::span<const tree::Offset> offsets =
-      plan.near_list(config_.near_symmetry);
-  st.near = [&, offsets, leaf_list](NearFieldScratch::Chunk& ch,
-                                    std::size_t lo, std::size_t hi) {
-    return near_field_chunk(hier, ws.boxed, offsets, config_.near_symmetry,
-                            config_.with_gradient, ch,
-                            leaf_list.subspan(lo, hi - lo), impl_->near);
-  };
+  internal::set_active_near_stage(ctx, impl_->near, st);
   // This solve's active sets and cost entries match the new sort.
   st.active_valid = true;
   st.cost_valid = true;

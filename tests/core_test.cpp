@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <tuple>
 
 #include "hfmm/baseline/direct.hpp"
@@ -253,6 +254,35 @@ TEST(FmmSolverTest, EmptyAndTinyInputs) {
   const FmmResult r = solver.solve(two);
   const double dist = (two.position(0) - two.position(1)).norm();
   EXPECT_NEAR(r.phi[0], 1.0 / dist, 5e-3 / dist);
+}
+
+TEST(FmmSolverTest, NonFiniteInputThrowsInvalidArgument) {
+  // Each of x, y, z and q in turn carries a NaN or an infinity; every
+  // executor rejects the input before the sort turns it into a box index.
+  const ParticleSet p = make_uniform(300, Box3{}, 8);
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSequential, ExecutionMode::kThreads,
+        ExecutionMode::kDataParallel}) {
+    FmmConfig cfg = base_config();
+    cfg.mode = mode;
+    FmmSolver solver(cfg);
+    for (int channel = 0; channel < 4; ++channel) {
+      for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        ParticleSet q = p;
+        Vec3 x = q.position(17);
+        double charge = q.charge(17);
+        if (channel == 0) x.x = bad;
+        if (channel == 1) x.y = bad;
+        if (channel == 2) x.z = bad;
+        if (channel == 3) charge = bad;
+        q.set(17, x, charge);
+        EXPECT_THROW(solver.solve(q), std::invalid_argument)
+            << static_cast<int>(mode) << " channel " << channel;
+      }
+    }
+    // The rejected calls leave the solver usable.
+    EXPECT_EQ(solver.solve(p).phi.size(), p.size());
+  }
 }
 
 TEST(FmmSolverTest, BreakdownCoversAllPhases) {

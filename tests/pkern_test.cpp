@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "hfmm/anderson/kernels.hpp"
@@ -437,12 +439,18 @@ TEST_P(NearFieldEdgeTest, ScratchReuseIsDeterministic) {
   std::vector<Vec3> g1(p.size()), g2(p.size());
   core::near_field(hier, boxed, half, true, first, g1, ThreadPool::global(),
                    &scratch);
-  // Second call reuses the (now dirty) scratch; results must be identical.
-  core::near_field(hier, boxed, half, true, second, g2, ThreadPool::global(),
-                   &scratch);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_DOUBLE_EQ(first[i], second[i]);
-    EXPECT_DOUBLE_EQ(g1[i].x, g2[i].x);
+  // Later calls reuse the (now dirty) scratch on pools of every size; the
+  // chunk split is fixed by the box count, so the bits must be identical.
+  ThreadPool one(1), two(2), three(3);
+  for (ThreadPool* pool : {&one, &two, &three, &ThreadPool::global()}) {
+    SCOPED_TRACE(pool->size());
+    std::fill(second.begin(), second.end(), 0.0);
+    std::fill(g2.begin(), g2.end(), Vec3{});
+    core::near_field(hier, boxed, half, true, second, g2, *pool, &scratch);
+    EXPECT_EQ(std::memcmp(first.data(), second.data(),
+                          first.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(g1.data(), g2.data(), g1.size() * sizeof(Vec3)), 0);
   }
 }
 

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -558,6 +559,30 @@ TEST(CApiTest, BatchSolveFillsEveryRequest) {
   ASSERT_EQ(hfmm_context_stats_query(ctx, &stats), HFMM_OK);
   EXPECT_EQ(stats.solves, 2u);
   EXPECT_EQ(stats.batches, 1u);
+  hfmm_plan_destroy(plan);
+  hfmm_context_destroy(ctx);
+}
+
+TEST(CApiTest, NonFiniteInputIsInvalidArgument) {
+  const ParticleSet a = make_uniform(400, Box3{}, 5);
+  const ParticleSet b = make_uniform(300, Box3{}, 6);
+  hfmm_context* ctx = nullptr;
+  ASSERT_EQ(hfmm_context_create(&ctx), HFMM_OK);
+  hfmm_config cfg;
+  hfmm_config_init(&cfg);
+  hfmm_plan* plan = nullptr;
+  ASSERT_EQ(hfmm_plan_create(ctx, &cfg, 400, &plan), HFMM_OK);
+  CApiFixture fa(a), fb(b);
+  fb.x[3] = std::nan("");
+  hfmm_request bad = fb.request(plan);
+  EXPECT_EQ(hfmm_solve(ctx, &bad, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
+  fb.x[3] = 0.5;
+  fb.q[7] = HUGE_VAL;
+  hfmm_request reqs[2] = {fa.request(plan), fb.request(plan)};
+  EXPECT_EQ(hfmm_solve_batch(ctx, reqs, 2, nullptr),
+            HFMM_ERROR_INVALID_ARGUMENT);
+  // The context keeps serving finite requests.
+  EXPECT_EQ(hfmm_solve_batch(ctx, reqs, 1, nullptr), HFMM_OK);
   hfmm_plan_destroy(plan);
   hfmm_context_destroy(ctx);
 }

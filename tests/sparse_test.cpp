@@ -289,10 +289,11 @@ INSTANTIATE_TEST_SUITE_P(Methods, MaskedEmbedTest,
 
 // ------------------------------------------------------- solver agreement
 
-bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 core::FmmConfig sparse_config(core::HierarchyMode mode, int depth) {
@@ -408,13 +409,22 @@ TEST(SparseSolveTest, WarmSparseSolveBitwiseAndZeroGrowth) {
 }
 
 TEST(SparseSolveTest, SequentialAndThreadedSparseAgreeBitwise) {
+  // The near-field split depends on the problem only, so one worker and
+  // the whole pool give the same bits on both uniform-leaf executors.
   const ParticleSet p = make_plummer(2000, Box3{}, 16);
-  core::FmmConfig cfg = sparse_config(core::HierarchyMode::kSparse, 4);
-  cfg.mode = core::ExecutionMode::kSequential;
-  core::FmmSolver seq(cfg);
-  cfg.mode = core::ExecutionMode::kThreads;
-  core::FmmSolver thr(cfg);
-  EXPECT_TRUE(bitwise_equal(seq.solve(p).phi, thr.solve(p).phi));
+  for (const core::HierarchyMode mode :
+       {core::HierarchyMode::kDense, core::HierarchyMode::kSparse}) {
+    SCOPED_TRACE(mode == core::HierarchyMode::kDense ? "dense" : "sparse");
+    core::FmmConfig cfg = sparse_config(mode, 4);
+    cfg.mode = core::ExecutionMode::kSequential;
+    core::FmmSolver seq(cfg);
+    cfg.mode = core::ExecutionMode::kThreads;
+    core::FmmSolver thr(cfg);
+    const core::FmmResult rs = seq.solve(p);
+    const core::FmmResult rt = thr.solve(p);
+    EXPECT_TRUE(bitwise_equal(rs.phi, rt.phi));
+    EXPECT_TRUE(bitwise_equal(rs.grad, rt.grad));
+  }
 }
 
 TEST(SparseSolveTest, DataParallelMaskedBitwiseMatchesDense) {

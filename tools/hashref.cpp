@@ -1,11 +1,21 @@
-// Dev harness: prints FNV-1a hashes of solver outputs over a config sweep —
-// the dense executor on uniform input, the sparse and adaptive executors on
-// a clustered (Plummer) input, the van der Waals kernel on the dense and
-// sparse executors, incremental stepping, and the 2-D solver. Build it
-// against two revisions and diff the output to check that a refactor keeps
-// every result bitwise identical (same host, same core count).
+// Prints FNV-1a hashes of solver outputs over a config sweep — the dense
+// executor on uniform input, the sparse and adaptive executors on a
+// clustered (Plummer) input, the van der Waals kernel on the dense and
+// sparse executors, incremental stepping, and the 2-D solver — each run
+// sequentially and threaded.
+//
+// Two uses:
+//   * Worker-count check (registered as a ctest): every threaded row must
+//     hash exactly like its sequential row, since no chunk split depends on
+//     the worker count. Exits 1 and names each row that differs. The
+//     data-parallel rows (mode=2) are a different algorithm and are only
+//     printed.
+//   * Refactor check: build it against two revisions and diff the output
+//     to see that a change keeps every result bitwise identical.
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <string>
 
 #include "hfmm/core/solver.hpp"
 #include "hfmm/d2/solver.hpp"
@@ -32,15 +42,37 @@ static const char* mode_name(int mode) {
   return mode == 0 ? "seq" : "threads";
 }
 
+// Hashes of the sequential (mode 0) rows by label; the threaded (mode 1)
+// row of the same label, printed after it, must match.
+static std::map<std::string, std::string> seq_rows;
+static int mismatches = 0;
+
+static void check_row(const std::string& label, int mode,
+                      const std::string& hashes) {
+  if (mode == 0) {
+    seq_rows[label] = hashes;
+  } else if (mode == 1 && seq_rows.at(label) != hashes) {
+    std::fprintf(stderr, "MISMATCH %s: seq%s threads%s\n", label.c_str(),
+                 seq_rows.at(label).c_str(), hashes.c_str());
+    ++mismatches;
+  }
+}
+
+static std::string hex(const char* key, std::uint64_t h) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, " %s=%016llx", key,
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
 // Cold and warm solve of `p` on one solver.
 static void print_cold_warm(const char* label, int mode,
                             const core::FmmConfig& cfg, const ParticleSet& p) {
   core::FmmSolver solver(cfg);
-  const std::uint64_t cold = hash_result(solver.solve(p));
-  const std::uint64_t warm = hash_result(solver.solve(p));
-  std::printf("%s %s cold=%016llx warm=%016llx\n", label, mode_name(mode),
-              static_cast<unsigned long long>(cold),
-              static_cast<unsigned long long>(warm));
+  std::string hashes = hex("cold", hash_result(solver.solve(p)));
+  hashes += hex("warm", hash_result(solver.solve(p)));
+  std::printf("%s %s%s\n", label, mode_name(mode), hashes.c_str());
+  check_row(label, mode, hashes);
 }
 
 // Three incremental steps: every particle drifts a little toward the
@@ -51,21 +83,21 @@ static void print_incremental(const char* label, int mode,
   core::FmmConfig step_cfg = cfg;
   step_cfg.step_incremental = true;
   core::FmmSolver solver(step_cfg);
-  std::printf("%s %s", label, mode_name(mode));
+  std::string hashes;
   const Vec3 c = p.bounds().center();
   for (int step = 0; step < 3; ++step) {
     const core::FmmResult r = solver.solve(p);
-    std::printf(" step%d=%016llx repaired=%llu", step,
-                static_cast<unsigned long long>(hash_result(r)),
-                static_cast<unsigned long long>(
-                    r.breakdown.phases().at("sort").plan_reuse));
+    hashes += hex(("step" + std::to_string(step)).c_str(), hash_result(r));
+    hashes += " repaired=" +
+              std::to_string(r.breakdown.phases().at("sort").plan_reuse);
     for (std::size_t i = 0; i < p.size(); ++i) {
       const Vec3 x = p.position(i);
       const double f = 0.004 * static_cast<double>((i * 7 + step) % 5) / 4.0;
       p.set(i, x + f * (c - x), p.q()[i]);
     }
   }
-  std::printf("\n");
+  std::printf("%s %s%s\n", label, mode_name(mode), hashes.c_str());
+  check_row(label, mode, hashes);
 }
 
 int main() {
@@ -82,16 +114,13 @@ int main() {
           cfg.near_symmetry = sym != 0;
           cfg.with_gradient = true;
           core::FmmSolver solver(cfg);
-          const core::FmmResult r = solver.solve(p);
-          const core::FmmResult w = solver.solve(p);
-          std::uint64_t h = fnv(r.phi.data(), r.phi.size() * 8);
-          h = fnv(r.grad.data(), r.grad.size() * sizeof(Vec3), h);
-          std::uint64_t hw = fnv(w.phi.data(), w.phi.size() * 8);
-          hw = fnv(w.grad.data(), w.grad.size() * sizeof(Vec3), hw);
-          std::printf("mode=%d agg=%d sn=%d sym=%d cold=%016llx warm=%016llx\n",
-                      mode, agg, sn, sym,
-                      static_cast<unsigned long long>(h),
-                      static_cast<unsigned long long>(hw));
+          std::string hashes = hex("cold", hash_result(solver.solve(p)));
+          hashes += hex("warm", hash_result(solver.solve(p)));
+          char label[64];
+          std::snprintf(label, sizeof label, "agg=%d sn=%d sym=%d", agg, sn,
+                        sym);
+          std::printf("mode=%d %s%s\n", mode, label, hashes.c_str());
+          check_row(label, mode, hashes);
         }
       }
     }
@@ -178,10 +207,13 @@ int main() {
         const d2::Fmm2Result r = solver.solve(p2);
         std::uint64_t h = fnv(r.phi.data(), r.phi.size() * 8);
         h = fnv(r.grad.data(), r.grad.size() * sizeof(d2::Point2), h);
-        std::printf("d2 threads=%d sn=%d h=%016llx\n", th, sn,
-                    static_cast<unsigned long long>(h));
+        std::printf("d2 threads=%d sn=%d%s\n", th, sn, hex("h", h).c_str());
+        check_row("d2 sn=" + std::to_string(sn), th, hex("h", h));
       }
     }
   }
-  return 0;
+  if (mismatches > 0)
+    std::fprintf(stderr, "%d threaded rows differ from their sequential row\n",
+                 mismatches);
+  return mismatches > 0 ? 1 : 0;
 }
