@@ -4,7 +4,8 @@
 // bits above the local-address bits of their box coordinates makes the
 // block-partitioned 1-D particle arrays line up with the leaf boxes' VUs,
 // so the 1-D -> 4-D reshape needs NO communication (vs a plain Morton/box
-// sort, which scatters particles across VUs).
+// sort, which scatters particles across VUs). The plain Morton order is the
+// coordinate sort for a single VU, whose key is all local bits.
 
 #include <iostream>
 
@@ -28,6 +29,7 @@ int main(int argc, char** argv) {
 
   Table table({"VU grid", "sort", "home fraction", "reshape bytes off-VU",
                "sort time (s)"});
+  const dp::BlockLayout one_vu(hier.boxes_per_side(depth), {1, 1, 1});
   for (const dp::MachineConfig mc :
        {dp::MachineConfig{2, 2, 2}, dp::MachineConfig{4, 2, 2},
         dp::MachineConfig{4, 4, 4}}) {
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
     }
     {
       WallTimer t;
-      const dp::BoxedParticles b = dp::morton_sort(p, hier);
+      const dp::BoxedParticles b = dp::coordinate_sort(p, hier, one_vu);
       const double secs = t.seconds();
       const dp::SortLocality loc = dp::measure_locality(b, hier, layout);
       table.row({std::to_string(mc.vu_x) + "x" + std::to_string(mc.vu_y) +

@@ -1,13 +1,14 @@
 #pragma once
 // Geometric partitioner for the distributed executor (DESIGN.md Section 18).
 //
-// The counting sort already orders particles by leaf flat index, and the
-// sparse active sets list the occupied leaves in the same ascending order —
-// so a partition into R contiguous ACTIVE-LEAF runs is simultaneously a
-// Morton-style range split of the domain (each run is a compact region of
-// the z-major box order) and a contiguous split of the sorted particle
-// array. No data movement is needed to realize it: rank r's bodies are the
-// slice [body_begin[r], body_begin[r+1]) of the globally sorted arrays.
+// The sparse active sets list the occupied leaves in ascending flat order,
+// and a partition into R contiguous ACTIVE-LEAF runs of that order is a
+// slab-style range split of the domain (each run is a run of the z-major
+// box order: whole z-slabs plus partial ones at its ends). The coordinate
+// sort orders particles in Morton order instead, so a rank's bodies are
+// not one slice of the sorted arrays: the executor gathers them leaf by
+// leaf. body_begin prefix-sums the per-leaf counts in leaf order, so rank
+// r owns body_begin[r+1] - body_begin[r] bodies.
 //
 // The split itself reuses exec::weighted_split over a per-leaf weight:
 //   * kCost   — the sparse executor's cost model (near-field pair count
@@ -28,7 +29,7 @@ enum class Partitioner {
   kBodies,  ///< weight = bodies per leaf
 };
 
-/// A split of the active leaves (and thereby the sorted bodies) into
+/// A split of the active leaves (and thereby their bodies) into
 /// contiguous per-rank runs. `ranks` is the EFFECTIVE rank count — at most
 /// the requested count, clamped so every rank owns at least one leaf.
 struct Partition {
@@ -36,7 +37,8 @@ struct Partition {
   /// R+1 active-leaf bounds: rank r owns active leaves
   /// [leaf_begin[r], leaf_begin[r+1]).
   std::vector<std::uint32_t> leaf_begin;
-  /// R+1 sorted-particle bounds aligned with leaf_begin.
+  /// R+1 prefix sums of the owned leaves' particle counts, aligned with
+  /// leaf_begin.
   std::vector<std::uint32_t> body_begin;
   /// Modeled cost per rank (sum of the split weights).
   std::vector<std::uint64_t> rank_cost;

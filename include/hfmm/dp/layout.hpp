@@ -7,8 +7,10 @@
 // extents are powers of two, so the split is exactly a bit split — this is
 // what the coordinate sort (Section 3.2) exploits to build its keys.
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "hfmm/dp/machine.hpp"
 #include "hfmm/tree/hierarchy.hpp"
@@ -61,11 +63,19 @@ class BlockLayout {
   int local_bits_y() const { return lby_; }
   int local_bits_z() const { return lbz_; }
 
-  /// The coordinate-sort key of a box (Section 3.2): VU-address bits of
-  /// (z, y, x) concatenated above the local-address bits of (z, y, x), i.e.
-  /// z..zy..yx..x | z..zy..yx..x. Sorting particles by this key makes the
-  /// block-partitioned 1-D order agree with box homes.
-  std::uint64_t sort_key(const tree::BoxCoord& c) const;
+  /// The coordinate-sort key of a box (Section 3.2): the VU-address bits
+  /// of (z, y, x) concatenated, z..zy..yx..x, above the local-address bits
+  /// interleaved in Morton order, ...zyxzyx (z above y above x within each
+  /// bit group; an axis that runs out of local bits drops out of the higher
+  /// groups). Keys are dense in [0, total_boxes()). Sorting particles by
+  /// this key makes the block-partitioned 1-D order agree with box homes,
+  /// and every octree box that lies inside one VU is one contiguous key
+  /// range — with a single VU, every box at every level.
+  std::uint64_t sort_key(const tree::BoxCoord& c) const {
+    return axis_key_[0][static_cast<std::size_t>(c.ix)] |
+           axis_key_[1][static_cast<std::size_t>(c.iy)] |
+           axis_key_[2][static_cast<std::size_t>(c.iz)];
+  }
 
   /// Human-readable address-field description (for the quickstart example's
   /// --show-layout mode; mirrors the paper's Figure 4).
@@ -76,6 +86,9 @@ class BlockLayout {
   MachineConfig config_;
   std::int32_t sx_, sy_, sz_;
   int vbx_, vby_, vbz_, lbx_, lby_, lbz_;
+  // Per axis, per coordinate: that coordinate's share of sort_key(), so a
+  // key costs three lookups.
+  std::array<std::vector<std::uint64_t>, 3> axis_key_;
 };
 
 }  // namespace hfmm::dp

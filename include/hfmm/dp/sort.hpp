@@ -7,9 +7,13 @@
 // partitioned over the VUs, each particle already resides on the VU that
 // owns its leaf box. The coordinate sort achieves both by sorting on keys
 // built from the box coordinates' VU-address bits (concatenated z|y|x) above
-// their local-address bits (z|y|x).
+// their local-address bits (interleaved, Morton order; see
+// BlockLayout::sort_key). The interleaving makes every octree box inside
+// one VU a contiguous range of the sorted order (box_range): with the
+// one-VU layout of the shared-memory executors, every box at every level.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "hfmm/dp/layout.hpp"
@@ -32,6 +36,14 @@ struct BoxedParticles {
     return box_begin[rank + 1] - box_begin[rank];
   }
 };
+
+/// The sorted particle range [first, second) of box `flat` at `level` of
+/// `hier`, the hierarchy `boxed` was sorted over. It is one range when the
+/// box lies inside one VU of the sort's layout (always, with one VU): the
+/// ranks from the box's first leaf descendant to its last one.
+std::pair<std::uint32_t, std::uint32_t> box_range(const BoxedParticles& boxed,
+                                                  const tree::Hierarchy& hier,
+                                                  int level, std::size_t flat);
 
 /// Sorts `particles` with the coordinate sort for `layout` over `hier`'s
 /// leaf level. Stable counting sort on the composite key; O(N + boxes).
@@ -91,11 +103,6 @@ StepSortResult coordinate_sort_step(const ParticleSet& particles,
                                     const BlockLayout& layout,
                                     double mover_threshold,
                                     BoxedParticles& out, SortScratch& scratch);
-
-/// A plain Morton-order grouping (no VU/local bit split) — the "naive sort"
-/// baseline for the Figure 5 locality experiment.
-BoxedParticles morton_sort(const ParticleSet& particles,
-                           const tree::Hierarchy& hier);
 
 struct SortLocality {
   double home_fraction = 0.0;     ///< particles landing on their box's VU

@@ -1,8 +1,9 @@
 #pragma once
 // Subtree ownership for the distributed executor (DESIGN.md Section 18).
 //
-// The partitioner splits the ACTIVE LEAVES (ascending flat order — which is
-// the sorted-particle order) into R contiguous runs. Ownership of internal
+// The partitioner splits the ACTIVE LEAVES (ascending flat order; the
+// coordinate sort's particle order is Morton order, not this one) into R
+// contiguous runs. Ownership of internal
 // boxes follows the leaves upward: a box is owned by the owner of its first
 // active child in octant order. Because the flat order is z-major exactly
 // like the octant index (bit 2 of the octant is the z bit, which dominates

@@ -21,16 +21,105 @@ BoxRange range_of(const dp::BoxedParticles& boxed, std::size_t flat) {
   return {boxed.box_begin[rank], boxed.box_begin[rank + 1]};
 }
 
-// Shared chunk body: evaluates `count` leaf boxes whose flat indices come
-// from `flat_of(i)` — a contiguous range on the dense path, an active-box
-// list slice on the sparse path. The arithmetic is identical either way
-// (the sparse path only skips boxes that contribute nothing).
 // Analytic per-pair flop cost of the switched-LJ kernel (r2, table lookup,
 // x^12/x^6 powers, switch polynomial; gradient adds the c2 * d updates).
 std::uint64_t vdw_pair_flops(bool with_gradient) {
   return with_gradient ? 34 : 24;
 }
 
+// Range-range evaluations of one near-field chunk on the dispatched pkern
+// backend, physics chosen once per chunk. Construction zeroes the chunk's
+// N-length buffers; every evaluation adds into them.
+class ChunkPairs {
+ public:
+  ChunkPairs(const dp::BoxedParticles& boxed, const NearKernel& kern,
+             bool with_gradient, NearFieldScratch::Chunk& ch)
+      : x_(boxed.sorted.x().data()),
+        y_(boxed.sorted.y().data()),
+        z_(boxed.sorted.z().data()),
+        q_(boxed.sorted.q().data()),
+        kern_(kern),
+        back_(pkern::active_kernel()),
+        vdw_(kern.type == KernelType::kVanDerWaals),
+        with_gradient_(with_gradient),
+        ch_(ch) {
+    ch.phi.assign(boxed.sorted.size(), 0.0);
+    if (with_gradient) ch.grad.assign(boxed.sorted.size(), Vec3{});
+  }
+
+  bool vdw() const { return vdw_; }
+
+  // Analytic flop count of `pairs` particle pairs (pairs x per-pair cost;
+  // the symmetric form adds the reaction updates).
+  std::uint64_t flops(std::uint64_t pairs, bool symmetric) const {
+    const std::uint64_t per_pair =
+        (vdw_ ? vdw_pair_flops(with_gradient_)
+              : baseline::direct_pair_flops(with_gradient_)) +
+        (symmetric ? 4 : 0);
+    return pairs * per_pair;
+  }
+
+  // Targets tr from sources sr, one direction.
+  void one_way(const BoxRange& tr, const BoxRange& sr) {
+    Vec3* grad = with_gradient_ ? ch_.grad.data() + tr.begin : nullptr;
+    if (vdw_)
+      back_.p2p_vdw(x_, y_, z_, kern_.types, tr.begin, tr.end, sr.begin,
+                    sr.end, ch_.phi.data() + tr.begin, grad, kern_.vdw);
+    else
+      back_.p2p(x_, y_, z_, q_, tr.begin, tr.end, sr.begin, sr.end,
+                ch_.phi.data() + tr.begin, grad, kern_.soft2);
+  }
+
+  // Both directions of the box pair in one pass (the paper's Figure 10
+  // trick): the kernel writes targets then sources into the pair buffer,
+  // which is then added into the chunk's buffers.
+  void both_ways(const BoxRange& tr, const BoxRange& sr) {
+    const std::size_t tot = tr.count() + sr.count();
+    ch_.pair_phi.assign(tot, 0.0);
+    if (with_gradient_) {
+      ch_.pair_gx.assign(tot, 0.0);
+      ch_.pair_gy.assign(tot, 0.0);
+      ch_.pair_gz.assign(tot, 0.0);
+    }
+    double* gx = with_gradient_ ? ch_.pair_gx.data() : nullptr;
+    if (vdw_)
+      back_.p2p_vdw_symmetric(x_, y_, z_, kern_.types, tr.begin, tr.end,
+                              sr.begin, sr.end, ch_.pair_phi.data(), gx,
+                              ch_.pair_gy.data(), ch_.pair_gz.data(),
+                              kern_.vdw);
+    else
+      back_.p2p_symmetric(x_, y_, z_, q_, tr.begin, tr.end, sr.begin, sr.end,
+                          ch_.pair_phi.data(), gx, ch_.pair_gy.data(),
+                          ch_.pair_gz.data(), kern_.soft2);
+    add_pair_buffer(tr, 0);
+    add_pair_buffer(sr, tr.count());
+  }
+
+ private:
+  // Adds pair-buffer entries [at, at + r.count()) into particles r.
+  void add_pair_buffer(const BoxRange& r, std::size_t at) {
+    for (std::size_t i = 0; i < r.count(); ++i)
+      ch_.phi[r.begin + i] += ch_.pair_phi[at + i];
+    if (!with_gradient_) return;
+    for (std::size_t i = 0; i < r.count(); ++i) {
+      const std::size_t s = at + i;
+      ch_.grad[r.begin + i] +=
+          Vec3{ch_.pair_gx[s], ch_.pair_gy[s], ch_.pair_gz[s]};
+    }
+  }
+
+  const double *x_, *y_, *z_, *q_;
+  const NearKernel& kern_;
+  const pkern::KernelBackend& back_;
+  bool vdw_;
+  bool with_gradient_;
+  NearFieldScratch::Chunk& ch_;
+};
+
+// Shared chunk body: evaluates `count` leaf boxes whose flat indices come
+// from `flat_of(i)` — a contiguous range on the dense path, an active-box
+// list slice on the sparse path. The arithmetic is identical either way
+// (the sparse path only skips boxes that contribute nothing).
 template <typename FlatOf>
 NearFieldResult evaluate_boxes(const tree::Hierarchy& hier,
                                const dp::BoxedParticles& boxed,
@@ -41,53 +130,12 @@ NearFieldResult evaluate_boxes(const tree::Hierarchy& hier,
                                FlatOf flat_of) {
   const int h = hier.depth();
   const std::int32_t n = hier.boxes_per_side(h);
-  const ParticleSet& p = boxed.sorted;
-  const double* X = p.x().data();
-  const double* Y = p.y().data();
-  const double* Z = p.z().data();
-  const double* Q = p.q().data();
-  const double soft2 = kern.soft2;
-  const bool vdw = kern.type == KernelType::kVanDerWaals;
-  const std::int32_t* T = kern.types;
+  ChunkPairs pairs(boxed, kern, with_gradient, ch);
   // Periodic vdW: neighbour offsets wrap around the grid instead of
   // falling off it (the pair kernel wraps the displacements to match).
   // KernelSpec::validate + the solver's depth policy guarantee n >= 8, so
   // the +/-2 offsets stay distinct after the wrap.
-  const bool periodic = vdw && kern.vdw.period > 0.0;
-  const pkern::KernelBackend& back = pkern::active_kernel();
-
-  // Kernel-dispatched range-range evaluations: identical outputs layout,
-  // physics chosen once per chunk.
-  const auto p2p = [&](const BoxRange& tr, const BoxRange& sr) {
-    if (vdw)
-      back.p2p_vdw(X, Y, Z, T, tr.begin, tr.end, sr.begin, sr.end,
-                   ch.phi.data() + tr.begin,
-                   with_gradient ? ch.grad.data() + tr.begin : nullptr,
-                   kern.vdw);
-    else
-      back.p2p(X, Y, Z, Q, tr.begin, tr.end, sr.begin, sr.end,
-               ch.phi.data() + tr.begin,
-               with_gradient ? ch.grad.data() + tr.begin : nullptr, soft2);
-  };
-  const auto p2p_symmetric = [&](const BoxRange& tr, const BoxRange& sr) {
-    if (vdw)
-      back.p2p_vdw_symmetric(X, Y, Z, T, tr.begin, tr.end, sr.begin, sr.end,
-                             ch.pair_phi.data(),
-                             with_gradient ? ch.pair_gx.data() : nullptr,
-                             ch.pair_gy.data(), ch.pair_gz.data(), kern.vdw);
-    else
-      back.p2p_symmetric(X, Y, Z, Q, tr.begin, tr.end, sr.begin, sr.end,
-                         ch.pair_phi.data(),
-                         with_gradient ? ch.pair_gx.data() : nullptr,
-                         ch.pair_gy.data(), ch.pair_gz.data(), soft2);
-  };
-
-  ch.phi.assign(p.size(), 0.0);
-  Vec3* my_grad = nullptr;
-  if (with_gradient) {
-    ch.grad.assign(p.size(), Vec3{});
-    my_grad = ch.grad.data();
-  }
+  const bool periodic = pairs.vdw() && kern.vdw.period > 0.0;
   NearFieldResult res;
 
   for (std::size_t bi = 0; bi < count; ++bi) {
@@ -98,7 +146,7 @@ NearFieldResult evaluate_boxes(const tree::Hierarchy& hier,
 
     // Intra-box interactions (always symmetric-safe: same box).
     if (tr.count() > 1) {
-      p2p(tr, tr);
+      pairs.one_way(tr, tr);
       res.pair_interactions += tr.count() * (tr.count() - 1);
       ++res.box_interactions;
     }
@@ -116,47 +164,16 @@ NearFieldResult evaluate_boxes(const tree::Hierarchy& hier,
       }
       const BoxRange sr = range_of(boxed, hier.flat_index(h, nb));
       if (sr.count() == 0 || tr.count() == 0) continue;
-      if (symmetric) {
-        // Both directions in one pass; the paper's Figure 10 trick.
-        const std::size_t tot = tr.count() + sr.count();
-        ch.pair_phi.assign(tot, 0.0);
-        if (with_gradient) {
-          ch.pair_gx.assign(tot, 0.0);
-          ch.pair_gy.assign(tot, 0.0);
-          ch.pair_gz.assign(tot, 0.0);
-        }
-        p2p_symmetric(tr, sr);
-        for (std::size_t i = 0; i < tr.count(); ++i)
-          ch.phi[tr.begin + i] += ch.pair_phi[i];
-        for (std::size_t j = 0; j < sr.count(); ++j)
-          ch.phi[sr.begin + j] += ch.pair_phi[tr.count() + j];
-        if (with_gradient) {
-          for (std::size_t i = 0; i < tr.count(); ++i) {
-            my_grad[tr.begin + i] +=
-                Vec3{ch.pair_gx[i], ch.pair_gy[i], ch.pair_gz[i]};
-          }
-          for (std::size_t j = 0; j < sr.count(); ++j) {
-            const std::size_t s = tr.count() + j;
-            my_grad[sr.begin + j] +=
-                Vec3{ch.pair_gx[s], ch.pair_gy[s], ch.pair_gz[s]};
-          }
-        }
-        res.pair_interactions += tr.count() * sr.count();
-        ++res.box_interactions;
-      } else {
-        p2p(tr, sr);
-        res.pair_interactions += tr.count() * sr.count();
-        ++res.box_interactions;
-      }
+      if (symmetric)
+        pairs.both_ways(tr, sr);
+      else
+        pairs.one_way(tr, sr);
+      res.pair_interactions += tr.count() * sr.count();
+      ++res.box_interactions;
     }
   }
 
-  // Flop count is analytic (pairs x per-pair cost), not measured.
-  const std::uint64_t per_pair =
-      (vdw ? vdw_pair_flops(with_gradient)
-           : baseline::direct_pair_flops(with_gradient)) +
-      (symmetric ? 4 : 0);
-  res.flops = res.pair_interactions * per_pair;
+  res.flops = pairs.flops(res.pair_interactions, symmetric);
   return res;
 }
 
@@ -194,91 +211,32 @@ NearFieldResult near_field_adaptive_chunk(const dp::BoxedParticles& boxed,
                                           NearFieldScratch::Chunk& ch,
                                           std::size_t leaf_lo,
                                           std::size_t leaf_hi,
-                                          double softening) {
-  const ParticleSet& p = boxed.sorted;
-  const double* X = p.x().data();
-  const double* Y = p.y().data();
-  const double* Z = p.z().data();
-  const double* Q = p.q().data();
-  const double soft2 = softening * softening;
-  const pkern::KernelBackend& kern = pkern::active_kernel();
-
+                                          const NearKernel& kern) {
   ch.lo = leaf_lo;
-  ch.phi.assign(p.size(), 0.0);
-  Vec3* my_grad = nullptr;
-  if (with_gradient) {
-    ch.grad.assign(p.size(), Vec3{});
-    my_grad = ch.grad.data();
-  }
-  NearFieldResult res;
-
-  // Symmetric range-range evaluation through the pair buffer; `weight` is
-  // the pair-count multiplier (2 for intra-leaf run crosses, which the
-  // uniform chunk would count ordered; 1 for cross-leaf adjacencies).
-  const auto sym_ranges = [&](std::size_t tb, std::size_t te, std::size_t sb,
-                              std::size_t se, std::uint64_t weight) {
-    const std::size_t tn = te - tb;
-    const std::size_t sn = se - sb;
-    if (tn == 0 || sn == 0) return;
-    const std::size_t tot = tn + sn;
-    ch.pair_phi.assign(tot, 0.0);
-    if (with_gradient) {
-      ch.pair_gx.assign(tot, 0.0);
-      ch.pair_gy.assign(tot, 0.0);
-      ch.pair_gz.assign(tot, 0.0);
-    }
-    kern.p2p_symmetric(X, Y, Z, Q, tb, te, sb, se, ch.pair_phi.data(),
-                       with_gradient ? ch.pair_gx.data() : nullptr,
-                       ch.pair_gy.data(), ch.pair_gz.data(), soft2);
-    for (std::size_t i = 0; i < tn; ++i) ch.phi[tb + i] += ch.pair_phi[i];
-    for (std::size_t j = 0; j < sn; ++j)
-      ch.phi[sb + j] += ch.pair_phi[tn + j];
-    if (with_gradient) {
-      for (std::size_t i = 0; i < tn; ++i) {
-        my_grad[tb + i] += Vec3{ch.pair_gx[i], ch.pair_gy[i], ch.pair_gz[i]};
-      }
-      for (std::size_t j = 0; j < sn; ++j) {
-        const std::size_t s = tn + j;
-        my_grad[sb + j] += Vec3{ch.pair_gx[s], ch.pair_gy[s], ch.pair_gz[s]};
-      }
-    }
-    res.pair_interactions += weight * tn * sn;
-    ++res.box_interactions;
+  ChunkPairs pairs(boxed, kern, with_gradient, ch);
+  const auto leaf = [&plan](std::size_t li) {
+    return BoxRange{plan.leaf_bounds[2 * li], plan.leaf_bounds[2 * li + 1]};
   };
-
+  NearFieldResult res;
   for (std::size_t li = leaf_lo; li < leaf_hi; ++li) {
-    const std::uint32_t r0 = plan.run_begin[li];
-    const std::uint32_t r1 = plan.run_begin[li + 1];
-    // Intra-leaf: each run against itself, then ascending run crosses.
-    for (std::uint32_t ri = r0; ri < r1; ++ri) {
-      const std::size_t b = plan.run_bounds[2 * ri];
-      const std::size_t e = plan.run_bounds[2 * ri + 1];
-      if (e - b > 1) {
-        kern.p2p(X, Y, Z, Q, b, e, b, e, ch.phi.data() + b,
-                 with_gradient ? my_grad + b : nullptr, soft2);
-        res.pair_interactions += (e - b) * (e - b - 1);
-        ++res.box_interactions;
-      }
-      for (std::uint32_t rj = ri + 1; rj < r1; ++rj)
-        sym_ranges(b, e, plan.run_bounds[2 * rj], plan.run_bounds[2 * rj + 1],
-                   2);
+    const BoxRange tr = leaf(li);
+    if (tr.count() > 1) {
+      pairs.one_way(tr, tr);
+      res.pair_interactions += tr.count() * (tr.count() - 1);
+      ++res.box_interactions;
     }
-    // Owned U-list adjacencies: all run pairs against each partner leaf.
+    // Owned U-list adjacencies, both directions at once.
     for (std::uint32_t pi = plan.pair_begin[li]; pi < plan.pair_begin[li + 1];
          ++pi) {
-      const std::uint32_t partner = plan.pair_leaf[pi];
-      const std::uint32_t s0 = plan.run_begin[partner];
-      const std::uint32_t s1 = plan.run_begin[partner + 1];
-      for (std::uint32_t ri = r0; ri < r1; ++ri) {
-        for (std::uint32_t rj = s0; rj < s1; ++rj)
-          sym_ranges(plan.run_bounds[2 * ri], plan.run_bounds[2 * ri + 1],
-                     plan.run_bounds[2 * rj], plan.run_bounds[2 * rj + 1], 1);
-      }
+      const BoxRange sr = leaf(plan.pair_leaf[pi]);
+      if (tr.count() == 0 || sr.count() == 0) continue;
+      pairs.both_ways(tr, sr);
+      res.pair_interactions += tr.count() * sr.count();
+      ++res.box_interactions;
     }
   }
 
-  res.flops = res.pair_interactions *
-              (baseline::direct_pair_flops(with_gradient) + 4);
+  res.flops = pairs.flops(res.pair_interactions, /*symmetric=*/true);
   return res;
 }
 

@@ -791,8 +791,9 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   if (config_.mode == ExecutionMode::kDataParallel)
     return solve_dp_(particles, hier, std::move(result));
 
-  // Layout with a single VU: the coordinate sort degenerates to grouping by
-  // flat box index.
+  // Layout with a single VU: the coordinate-sort key has no VU bits and is
+  // the Morton code of the leaf, so every box at every level is one
+  // contiguous range of the sorted particles.
   const dp::MachineConfig one_vu{1, 1, 1};
   const dp::BlockLayout layout(hier.boxes_per_side(h), one_vu);
 

@@ -16,11 +16,11 @@
 //     PRUNED refined tree (leaves + ancestors), with parent-level supernode
 //     sources that are front leaves suppressed — their pairs are on the U
 //     list (see sparse_chunks.hpp).
-// P2M/L2P act at each leaf's own level and radius over the leaf's RUNS —
-// maximal contiguous sorted-particle ranges covering its subtree — so a
-// coarse leaf needs no particle re-sort.
+// P2M/L2P act at each leaf's own level and radius over the leaf's sorted
+// particle range: the coordinate sort's Morton key makes every box at every
+// level one contiguous range, so a coarse leaf needs no particle re-sort.
 //
-// Reproducibility matches the other executors: the front, the run/pair plan
+// Reproducibility matches the other executors: the front, the pair plan
 // and all chunk splits are fixed before the graph runs, leaves are
 // enumerated in canonical (level, flat) order, and every U adjacency is
 // owned by exactly one side — results do not depend on scheduling or worker
@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "hfmm/anderson/leaf_ops.hpp"
 #include "hfmm/core/near_field.hpp"
 #include "hfmm/core/solver.hpp"
 #include "hfmm/dp/sort.hpp"
@@ -47,70 +46,21 @@ using internal::ActiveContext;
 using internal::FmmPlan;
 using internal::SolveWorkspace;
 
-// P2M over front leaves [lo, hi): a leaf's outer approximation, at the
-// LEAF'S level and sphere radius, accumulates every run of its subtree
-// (anderson::p2m adds, so multi-run leaves compose exactly).
-void p2m_front_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
-                     PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  SolveWorkspace& ws = ctx.ws;
-  const tree::LeafFront& front = ws.front;
-  const ParticleSet& p = ws.boxed.sorted;
+// P2M/L2P over front leaves [lo, hi): each leaf at its own level, over its
+// particle range, into its row of the pruned level store.
+template <typename BoxOp>
+void front_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
+                 PhaseStats& stats, BoxOp op) {
+  const tree::LeafFront& front = ctx.ws.front;
   std::uint64_t local_flops = 0;
   for (std::size_t li = lo; li < hi; ++li) {
     const int ll = front.leaf_level[li];
     const std::size_t f = front.leaf_flat[li];
     const std::int32_t row = ctx.act.levels[ll].dense_to_active[f];
-    const double a = ctx.config.params.outer_ratio * ctx.hier.side_at(ll);
-    const Vec3 center = ctx.hier.center(ll, ctx.hier.coord_of(ll, f));
-    const std::span<double> g{
-        ws.far[ll].data() + static_cast<std::size_t>(row) * k, k};
-    for (std::uint32_t r = ws.run_begin[li]; r < ws.run_begin[li + 1]; ++r) {
-      const std::uint32_t b = ws.run_bounds[2 * r];
-      const std::uint32_t e = ws.run_bounds[2 * r + 1];
-      anderson::p2m(ctx.config.params, a, center, p.x().subspan(b, e - b),
-                    p.y().subspan(b, e - b), p.z().subspan(b, e - b),
-                    p.q().subspan(b, e - b), g);
-      local_flops += anderson::p2m_flops(k, e - b);
-    }
-  }
-  stats.flops += local_flops;
-}
-
-void l2p_front_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
-                     PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  SolveWorkspace& ws = ctx.ws;
-  const tree::LeafFront& front = ws.front;
-  const ParticleSet& p = ws.boxed.sorted;
-  const std::span<double> phi{ws.phi_sorted};
-  const std::span<Vec3> grad{ws.grad_sorted};
-  std::uint64_t local_flops = 0;
-  for (std::size_t li = lo; li < hi; ++li) {
-    const int ll = front.leaf_level[li];
-    const std::size_t f = front.leaf_flat[li];
-    const std::int32_t row = ctx.act.levels[ll].dense_to_active[f];
-    const double a = ctx.config.params.inner_ratio * ctx.hier.side_at(ll);
-    const Vec3 center = ctx.hier.center(ll, ctx.hier.coord_of(ll, f));
-    const std::span<const double> g{
-        ws.local[ll].data() + static_cast<std::size_t>(row) * k, k};
-    for (std::uint32_t r = ws.run_begin[li]; r < ws.run_begin[li + 1]; ++r) {
-      const std::uint32_t b = ws.run_bounds[2 * r];
-      const std::uint32_t e = ws.run_bounds[2 * r + 1];
-      if (grad.empty()) {
-        anderson::l2p(ctx.config.params, a, center, g,
-                      p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                      p.z().subspan(b, e - b), phi.subspan(b, e - b));
-      } else {
-        anderson::l2p_gradient(ctx.config.params, a, center, g,
-                               p.x().subspan(b, e - b),
-                               p.y().subspan(b, e - b),
-                               p.z().subspan(b, e - b), phi.subspan(b, e - b),
-                               grad.subspan(b, e - b));
-      }
-      local_flops +=
-          anderson::l2p_flops(k, e - b, ctx.config.params.truncation);
-    }
+    local_flops += op(ctx.config, ctx.hier, ctx.ws, ll, f,
+                      static_cast<std::size_t>(row),
+                      ctx.ws.leaf_bounds[2 * li],
+                      ctx.ws.leaf_bounds[2 * li + 1]);
   }
   stats.flops += local_flops;
 }
@@ -141,9 +91,9 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   };
 
   // "active" phase: full-depth active sets, subtree counts, the cost-model
-  // ncrit, the marked/balanced front, the pruned level sets, and the U-list
-  // run/pair plan. Everything reuses workspace buffers — a warm solve grows
-  // nothing here.
+  // ncrit, the marked/balanced front, the pruned level sets, the front
+  // leaves' particle ranges and the U-list pair plan. Everything reuses
+  // workspace buffers — a warm solve grows nothing here.
   {
     ScopedPhaseTimer timer(result.breakdown["active"]);
     internal::refresh_active_levels(hier, ws, result.breakdown["active"]);
@@ -195,62 +145,13 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
     const tree::LeafFront& front = ws.front;
     const std::size_t nl = front.leaves();
 
-    // Owner of every fine active leaf: walk up the ancestor chain to the
-    // covering front leaf (the marking guarantees exactly one exists).
-    internal::grow(ws.fine_owner, nfine, ws.allocs);
-    for (std::size_t ai = 0; ai < nfine; ++ai) {
-      tree::BoxCoord c = hier.coord_of(h, fine.boxes[ai]);
-      for (int l = h;; --l) {
-        const std::int32_t al =
-            ws.active.levels[l].dense_to_active[hier.flat_index(l, c)];
-        if (front.state[l][static_cast<std::size_t>(al)] ==
-            tree::LeafFront::kLeaf) {
-          ws.fine_owner[ai] = static_cast<std::uint32_t>(
-              front.leaf_id[l][static_cast<std::size_t>(al)]);
-          break;
-        }
-        c = tree::Hierarchy::parent_of(c);
-      }
-    }
-
-    // Run plan: maximal contiguous sorted-particle ranges per front leaf.
-    // Fine active leaves ascend in flat order; a run breaks when the owner
-    // changes or the particle range is not contiguous with the previous
-    // leaf's. Two passes (count, fill) keep runs grouped per owner while
-    // preserving ascending particle order within each owner.
-    const auto range_of = [&](std::size_t ai) {
-      const std::uint32_t rk = ws.boxed.flat_to_rank[fine.boxes[ai]];
-      return std::pair<std::uint32_t, std::uint32_t>{
-          ws.boxed.box_begin[rk], ws.boxed.box_begin[rk + 1]};
-    };
-    internal::grow(ws.run_begin, nl + 1, ws.allocs);
-    std::fill(ws.run_begin.begin(), ws.run_begin.begin() + nl + 1, 0u);
-    std::size_t nruns = 0;
-    for (std::size_t ai = 0; ai < nfine; ++ai) {
-      if (ai == 0 || ws.fine_owner[ai] != ws.fine_owner[ai - 1] ||
-          range_of(ai).first != range_of(ai - 1).second) {
-        ++ws.run_begin[ws.fine_owner[ai] + 1];
-        ++nruns;
-      }
-    }
-    for (std::size_t li = 0; li < nl; ++li)
-      ws.run_begin[li + 1] += ws.run_begin[li];
-    internal::grow(ws.run_bounds, 2 * nruns, ws.allocs);
-    internal::grow(ws.run_cursor, nl, ws.allocs);
-    std::fill(ws.run_cursor.begin(), ws.run_cursor.begin() + nl, 0u);
-    for (std::size_t ai = 0; ai < nfine; ++ai) {
-      const auto [b, e] = range_of(ai);
-      const std::uint32_t owner = ws.fine_owner[ai];
-      if (ai > 0 && owner == ws.fine_owner[ai - 1] &&
-          b == range_of(ai - 1).second) {
-        // Contiguous with the owner's previous leaf: extend its last run.
-        ws.run_bounds[2 * (ws.run_begin[owner] + ws.run_cursor[owner] - 1) +
-                      1] = e;
-      } else {
-        const std::uint32_t r = ws.run_begin[owner] + ws.run_cursor[owner]++;
-        ws.run_bounds[2 * r] = b;
-        ws.run_bounds[2 * r + 1] = e;
-      }
+    // Particle range of every front leaf.
+    internal::grow(ws.leaf_bounds, 2 * nl, ws.allocs);
+    for (std::size_t li = 0; li < nl; ++li) {
+      const auto [b, e] = dp::box_range(ws.boxed, hier, front.leaf_level[li],
+                                        front.leaf_flat[li]);
+      ws.leaf_bounds[2 * li] = b;
+      ws.leaf_bounds[2 * li + 1] = e;
     }
 
     // U-list pair plan: every adjacency once, under its owning leaf.
@@ -264,14 +165,15 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
                              });
     for (std::size_t li = 0; li < nl; ++li)
       ws.pair_begin[li + 1] += ws.pair_begin[li];
+    // for_each_near_pair visits the owning leaves in ascending order, so
+    // the fill order is the CSR order.
     internal::grow(ws.pair_leaf, npairs, ws.allocs);
-    std::fill(ws.run_cursor.begin(), ws.run_cursor.begin() + nl, 0u);
+    std::size_t at = 0;
     tree::for_each_near_pair(
         hier, ws.active, front, near_full, near_half,
-        [&](std::size_t li, int sl, std::uint32_t sa) {
-          ws.pair_leaf[ws.pair_begin[li] + ws.run_cursor[li]++] =
-              static_cast<std::uint32_t>(
-                  front.leaf_id[sl][static_cast<std::size_t>(sa)]);
+        [&](std::size_t, int sl, std::uint32_t sa) {
+          ws.pair_leaf[at++] = static_cast<std::uint32_t>(
+              front.leaf_id[sl][static_cast<std::size_t>(sa)]);
         });
 
     // Cost weights: subtree body counts drive the leaf stages, exact U-list
@@ -321,17 +223,16 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   st.near_cost = ws.near_cost;
   st.prepare_levels = [&] { ws.prepare_levels(act.depth, k, &act); };
   st.p2m = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
-    p2m_front_chunk(ctx, lo, hi, s);
+    front_chunk(ctx, lo, hi, s, internal::p2m_box);
   };
   st.l2p = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
-    l2p_front_chunk(ctx, lo, hi, s);
+    front_chunk(ctx, lo, hi, s, internal::l2p_box);
   };
   internal::set_active_level_stages(ctx, st);
   st.near = [&](NearFieldScratch::Chunk& ch, std::size_t lo, std::size_t hi) {
-    const AdaptiveLeafPlan aplan{ws.run_begin, ws.run_bounds, ws.pair_begin,
-                                 ws.pair_leaf};
+    const AdaptiveLeafPlan aplan{ws.leaf_bounds, ws.pair_begin, ws.pair_leaf};
     return near_field_adaptive_chunk(ws.boxed, aplan, config_.with_gradient,
-                                     ch, lo, hi, config_.kernel.softening);
+                                     ch, lo, hi, impl_->near);
   };
   // The full active sets match the sort (reusable); the front and its plans
   // are rebuilt per solve, and ws.leaf_cost/near_cost now describe front

@@ -2,7 +2,7 @@
 //
 // R in-process ranks each run their OWN phase-graph DAG over a pruned local
 // essential tree (LET): the geometric partitioner splits the active leaves
-// (== the sorted particle order) into contiguous runs, subtree ownership
+// (ascending flat order) into contiguous runs, subtree ownership
 // follows the leaves upward, and a requirement walk over the actual plan
 // structures (upward child gathers, interactive union offsets / supernode
 // gather rectangles, downward parent reads, near-field neighbour boxes)
@@ -304,8 +304,8 @@ struct RankRun {
   SolveWorkspace* ws = nullptr;
   const dist::RankTree* rt = nullptr;
   NearKernel near;
-  std::size_t n_own = 0;      // owned sorted particles
-  std::size_t b0 = 0;         // global sorted offset of the owned run
+  std::size_t n_own = 0;       // owned particles
+  std::size_t own_leaves = 0;  // owned leaves: local ranks [0, own_leaves)
 };
 
 }  // namespace
@@ -362,8 +362,10 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   result.dist_cost_imbalance = part.cost_imbalance;
   result.dist_modeled_bytes = let.modeled_bytes_total;
 
-  // Rank-local particle views: each rank copies its owned sorted run and
-  // lays out ghost-leaf blocks behind it; a full-size flat -> local-rank map
+  // Rank-local particle views: each rank copies the particles of its owned
+  // leaves, leaf by leaf in ascending flat order (the global sort is in
+  // Morton order, so the owned leaves are not one slice of it), and lays
+  // out ghost-leaf blocks behind them; a full-size flat -> local-rank map
   // with an empty sentinel rank makes every absent box an empty range, so
   // the shared near-field chunk needs no distributed awareness at all.
   if (ds.ws.size() < static_cast<std::size_t>(R)) ds.ws.resize(R);
@@ -379,27 +381,16 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
     RankRun& ru = runs[r];
     ru.ws = &wr;
     ru.rt = &rt;
-    ru.b0 = part.body_begin[r];
     ru.n_own = part.body_begin[r + 1] - part.body_begin[r];
-    const std::size_t own_leaves = part.leaf_begin[r + 1] - part.leaf_begin[r];
-    const std::size_t nlocal = own_leaves + rt.ghost_leaves.size();
+    ru.own_leaves = part.leaf_begin[r + 1] - part.leaf_begin[r];
+    const std::size_t nlocal = ru.own_leaves + rt.ghost_leaves.size();
     const std::size_t total = ru.n_own + rt.let_bodies;
 
     dp::BoxedParticles& lb = wr.boxed;
     lb.sorted.resize(total);
     if (!far_capable) lb.sorted.ensure_types();
     const ParticleSet& gp = gws.boxed.sorted;
-    std::memcpy(lb.sorted.x().data(), gp.x().data() + ru.b0,
-                ru.n_own * sizeof(double));
-    std::memcpy(lb.sorted.y().data(), gp.y().data() + ru.b0,
-                ru.n_own * sizeof(double));
-    std::memcpy(lb.sorted.z().data(), gp.z().data() + ru.b0,
-                ru.n_own * sizeof(double));
-    std::memcpy(lb.sorted.q().data(), gp.q().data() + ru.b0,
-                ru.n_own * sizeof(double));
-    if (!far_capable)
-      std::memcpy(lb.sorted.type().data(), gp.type().data() + ru.b0,
-                  ru.n_own * sizeof(std::int32_t));
+    ParticleSet& lp = lb.sorted;
 
     internal::grow(lb.box_begin, nlocal + 2, wr.allocs);
     internal::grow(lb.rank_to_flat, nlocal, wr.allocs);
@@ -416,8 +407,18 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
       ++li;
     };
     for (std::size_t gi = part.leaf_begin[r]; gi < part.leaf_begin[r + 1];
-         ++gi)
+         ++gi) {
+      const auto [b, e] = internal::leaf_range(gws.boxed, leaves.boxes[gi]);
+      const std::size_t cnt = e - b;
+      std::memcpy(lp.x().data() + off, gp.x().data() + b, cnt * sizeof(double));
+      std::memcpy(lp.y().data() + off, gp.y().data() + b, cnt * sizeof(double));
+      std::memcpy(lp.z().data() + off, gp.z().data() + b, cnt * sizeof(double));
+      std::memcpy(lp.q().data() + off, gp.q().data() + b, cnt * sizeof(double));
+      if (!far_capable)
+        std::memcpy(lp.type().data() + off, gp.type().data() + b,
+                    cnt * sizeof(std::int32_t));
       place(leaves.boxes[gi], ds.leaf_count[gi]);
+    }
     for (const std::uint32_t flat : rt.ghost_leaves)
       place(flat, ds.leaf_count[static_cast<std::size_t>(
                       leaves.dense_to_active[flat])]);
@@ -456,7 +457,6 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   for (int r = 0; r < R; ++r) {
     exec::PhaseGraph& g = *graphs[r];
     const dist::RankTree& rtr = *runs[r].rt;
-    const std::size_t n_own = runs[r].n_own;
 
     const NodeId prep =
         g.add_serial("prepare", "workspace", [&, r](PhaseStats&) {
@@ -613,21 +613,28 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
     g.depend(near, brecv);
     g.depend(near, prep);
 
+    // Owned leaves [lo, hi): add the near field, then scatter each leaf's
+    // particles back to its range of the global sort.
     const NodeId acc = g.add(
-        "accumulate", "accumulate", n_own, 1,
+        "accumulate", "accumulate", runs[r].own_leaves, 1,
         [&, r](std::size_t, std::size_t lo, std::size_t hi, PhaseStats&) {
-          const RankRun& ru = runs[r];
-          SolveWorkspace& wr = *ru.ws;
-          near_field_accumulate(wr.near_scratch, 1, with_gradient,
-                                wr.phi_sorted, wr.grad_sorted, lo, hi);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t gi = ru.b0 + i;
-            gws.phi_sorted[gi] = wr.phi_sorted[i];
-            if (with_gradient) gws.grad_sorted[gi] = wr.grad_sorted[i];
-            if (view == nullptr) {
-              result.phi[gws.boxed.perm[gi]] = wr.phi_sorted[i];
-              if (with_gradient)
-                result.grad[gws.boxed.perm[gi]] = wr.grad_sorted[i];
+          SolveWorkspace& wr = *runs[r].ws;
+          const dp::BoxedParticles& lb = wr.boxed;
+          for (std::size_t li = lo; li < hi; ++li) {
+            const std::size_t b = lb.box_begin[li], e = lb.box_begin[li + 1];
+            near_field_accumulate(wr.near_scratch, 1, with_gradient,
+                                  wr.phi_sorted, wr.grad_sorted, b, e);
+            const std::size_t gb =
+                internal::leaf_range(gws.boxed, lb.rank_to_flat[li]).first;
+            for (std::size_t i = b; i < e; ++i) {
+              const std::size_t gi = gb + (i - b);
+              gws.phi_sorted[gi] = wr.phi_sorted[i];
+              if (with_gradient) gws.grad_sorted[gi] = wr.grad_sorted[i];
+              if (view == nullptr) {
+                result.phi[gws.boxed.perm[gi]] = wr.phi_sorted[i];
+                if (with_gradient)
+                  result.grad[gws.boxed.perm[gi]] = wr.grad_sorted[i];
+              }
             }
           }
         });

@@ -161,17 +161,15 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
     if (!far_capable) return;  // empty far phase for short-range kernels
     const double a = params.outer_ratio * hier.side_at(h);
     dp::DistGrid& leaf = mg_far.leaf_layer();
-    const std::size_t bpv = leaf_layout.boxes_per_vu();
     machine.for_each_vu([&](std::size_t vu) {
       for (std::int32_t lz = 0; lz < leaf_layout.sub_z(); ++lz)
         for (std::int32_t ly = 0; ly < leaf_layout.sub_y(); ++ly)
           for (std::int32_t lx = 0; lx < leaf_layout.sub_x(); ++lx) {
-            const std::size_t rank =
-                vu * bpv + leaf_layout.local_index(lx, ly, lz);
+            const tree::BoxCoord c = leaf_layout.global_of({vu, lx, ly, lz});
+            const std::uint64_t rank = leaf_layout.sort_key(c);
             const std::uint32_t b = boxed.box_begin[rank];
             const std::uint32_t e = boxed.box_begin[rank + 1];
             if (b == e) continue;
-            const tree::BoxCoord c = leaf_layout.global_of({vu, lx, ly, lz});
             anderson::p2m(params, a, hier.center(h, c),
                           p.x().subspan(b, e - b), p.y().subspan(b, e - b),
                           p.z().subspan(b, e - b), p.q().subspan(b, e - b),
@@ -422,19 +420,17 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
   const exec::NodeId l2p = g.add_serial("l2p", "l2p", [&](PhaseStats& stats) {
     const double a = params.inner_ratio * hier.side_at(h);
     const dp::DistGrid& leaf = mg_local.leaf_layer();
-    const std::size_t bpv = leaf_layout.boxes_per_vu();
     std::vector<double>& phi_sorted = ws.phi_sorted;
     std::vector<Vec3>& grad_sorted = ws.grad_sorted;
     machine.for_each_vu([&](std::size_t vu) {
       for (std::int32_t lz = 0; lz < leaf_layout.sub_z(); ++lz)
         for (std::int32_t ly = 0; ly < leaf_layout.sub_y(); ++ly)
           for (std::int32_t lx = 0; lx < leaf_layout.sub_x(); ++lx) {
-            const std::size_t rank =
-                vu * bpv + leaf_layout.local_index(lx, ly, lz);
+            const tree::BoxCoord c = leaf_layout.global_of({vu, lx, ly, lz});
+            const std::uint64_t rank = leaf_layout.sort_key(c);
             const std::uint32_t b = boxed.box_begin[rank];
             const std::uint32_t e = boxed.box_begin[rank + 1];
             if (b == e) continue;
-            const tree::BoxCoord c = leaf_layout.global_of({vu, lx, ly, lz});
             if (config_.with_gradient) {
               anderson::l2p_gradient(
                   params, a, hier.center(h, c), leaf.at(vu, lx, ly, lz),

@@ -297,18 +297,16 @@ struct SolveWorkspace {
   // Adaptive leaf-front executor state (DESIGN.md Section 15): per-fine-leaf
   // body counts, subtree counts, the marked front (plus the ncrit-selector's
   // scratch front), the pruned refined-tree level sets with their leaf
-  // flags, and the U-list run/pair plan in canonical leaf order — run_begin
-  // is a CSR over front leaves into run_bounds ([particle_lo, particle_hi)
-  // pairs), pair_begin a CSR into pair_leaf (partner leaf ids). All reused
-  // across solves.
+  // flags, and the U-list plan in canonical leaf order — leaf_bounds holds
+  // each front leaf's sorted particle range ([begin, end) pairs), pair_begin
+  // is a CSR over front leaves into pair_leaf (partner leaf ids). All
+  // reused across solves.
   std::vector<std::uint32_t> leaf_counts;
   std::vector<std::vector<std::uint32_t>> subtree_counts;
   tree::LeafFront front, front_scratch;
   tree::ActiveLevels pruned;
   std::vector<std::vector<std::uint8_t>> pruned_leaf;
-  std::vector<std::uint32_t> run_begin, run_bounds, pair_begin, pair_leaf;
-  std::vector<std::uint32_t> fine_owner;  // fine active leaf -> front leaf id
-  std::vector<std::uint32_t> run_cursor;  // counting-sort cursor scratch
+  std::vector<std::uint32_t> leaf_bounds, pair_begin, pair_leaf;
   // Heap-growth events since begin_solve() (reported as workspace allocs).
   std::atomic<std::uint64_t> allocs{0};
 
@@ -347,9 +345,8 @@ struct SolveWorkspace {
     total += cap(phi_sorted) + cap(grad_sorted) + cap(pad);
     total += cap(occupied) + cap(leaf_cost) + cap(near_cost);
     total += active.capacity_bytes();
-    total += cap(leaf_counts) + cap(run_begin) + cap(run_bounds) +
-             cap(pair_begin) + cap(pair_leaf) + cap(fine_owner) +
-             cap(run_cursor);
+    total += cap(leaf_counts) + cap(leaf_bounds) + cap(pair_begin) +
+             cap(pair_leaf);
     for (const auto& v : subtree_counts) total += cap(v);
     for (const auto& v : pruned_leaf) total += cap(v);
     total += front.capacity_bytes() + front_scratch.capacity_bytes() +

@@ -17,6 +17,7 @@
 // executor passes no leaf flags and keeps its exact historical behavior.
 
 #include <cstdint>
+#include <utility>
 
 #include "hfmm/anderson/leaf_ops.hpp"
 #include "hfmm/blas/blas.hpp"
@@ -41,10 +42,63 @@ struct ActiveContext {
   const TranslationData& trans() const { return *plan.trans; }
 };
 
+// The sorted particle range [first, second) of leaf box `flat`.
+inline std::pair<std::uint32_t, std::uint32_t> leaf_range(
+    const dp::BoxedParticles& boxed, std::size_t flat) {
+  const std::uint32_t r = boxed.flat_to_rank[flat];
+  return {boxed.box_begin[r], boxed.box_begin[r + 1]};
+}
+
 inline std::uint64_t particles_in(const dp::BoxedParticles& boxed,
                                   std::size_t flat) {
-  const std::uint32_t r = boxed.flat_to_rank[flat];
-  return boxed.box_begin[r + 1] - boxed.box_begin[r];
+  const auto [b, e] = leaf_range(boxed, flat);
+  return e - b;
+}
+
+// P2M of one box of level l (flat index f) whose sorted particles are
+// [b, e): the outer approximation at the box's own level and sphere radius,
+// written to row `row` of far[l]. Returns the flop count. The uniform-leaf
+// stages (p2m_leaves) and the adaptive front-leaf stage share it.
+inline std::uint64_t p2m_box(const FmmConfig& config,
+                             const tree::Hierarchy& hier, SolveWorkspace& ws,
+                             int l, std::size_t f, std::size_t row,
+                             std::uint32_t b, std::uint32_t e) {
+  if (b == e) return 0;
+  const std::size_t k = config.params.k();
+  const double a = config.params.outer_ratio * hier.side_at(l);
+  const ParticleSet& p = ws.boxed.sorted;
+  anderson::p2m(config.params, a, hier.center(l, hier.coord_of(l, f)),
+                p.x().subspan(b, e - b), p.y().subspan(b, e - b),
+                p.z().subspan(b, e - b), p.q().subspan(b, e - b),
+                {ws.far[l].data() + row * k, k});
+  return anderson::p2m_flops(k, e - b);
+}
+
+// L2P of one box, indexed like p2m_box: the local expansion at row `row` of
+// local[l] evaluated at the particles [b, e), with the gradient when the
+// solve computes one.
+inline std::uint64_t l2p_box(const FmmConfig& config,
+                             const tree::Hierarchy& hier, SolveWorkspace& ws,
+                             int l, std::size_t f, std::size_t row,
+                             std::uint32_t b, std::uint32_t e) {
+  if (b == e) return 0;
+  const std::size_t k = config.params.k();
+  const double a = config.params.inner_ratio * hier.side_at(l);
+  const Vec3 center = hier.center(l, hier.coord_of(l, f));
+  const ParticleSet& p = ws.boxed.sorted;
+  const std::span<const double> g{ws.local[l].data() + row * k, k};
+  const std::span<double> phi = std::span<double>{ws.phi_sorted}.subspan(
+      b, e - b);
+  if (ws.grad_sorted.empty()) {
+    anderson::l2p(config.params, a, center, g, p.x().subspan(b, e - b),
+                  p.y().subspan(b, e - b), p.z().subspan(b, e - b), phi);
+  } else {
+    anderson::l2p_gradient(config.params, a, center, g,
+                           p.x().subspan(b, e - b), p.y().subspan(b, e - b),
+                           p.z().subspan(b, e - b), phi,
+                           std::span<Vec3>{ws.grad_sorted}.subspan(b, e - b));
+  }
+  return anderson::l2p_flops(k, e - b, config.params.truncation);
 }
 
 // Leaf P2M over items [lo, hi) of the leaf level: item i is the leaf box
@@ -59,23 +113,11 @@ inline void p2m_leaves(const FmmConfig& config, const tree::Hierarchy& hier,
                        std::span<const std::uint32_t> flats, std::size_t lo,
                        std::size_t hi, PhaseStats& stats) {
   const int h = hier.depth();
-  const std::size_t k = config.params.k();
-  const double a = config.params.outer_ratio * hier.side_at(h);
-  const dp::BoxedParticles& boxed = ws.boxed;
-  const ParticleSet& p = boxed.sorted;
   std::uint64_t local_flops = 0;
   for (std::size_t i = lo; i < hi; ++i) {
     const std::size_t f = flats.empty() ? i : flats[i];
-    const std::uint32_t rank = boxed.flat_to_rank[f];
-    const std::uint32_t b = boxed.box_begin[rank];
-    const std::uint32_t e = boxed.box_begin[rank + 1];
-    if (b == e) continue;
-    const tree::BoxCoord c = hier.coord_of(h, f);
-    anderson::p2m(config.params, a, hier.center(h, c),
-                  p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                  p.z().subspan(b, e - b), p.q().subspan(b, e - b),
-                  {ws.far[h].data() + i * k, k});
-    local_flops += anderson::p2m_flops(k, e - b);
+    const auto [b, e] = leaf_range(ws.boxed, f);
+    local_flops += p2m_box(config, hier, ws, h, f, i, b, e);
   }
   stats.flops += local_flops;
 }
@@ -86,32 +128,11 @@ inline void l2p_leaves(const FmmConfig& config, const tree::Hierarchy& hier,
                        std::span<const std::uint32_t> flats, std::size_t lo,
                        std::size_t hi, PhaseStats& stats) {
   const int h = hier.depth();
-  const std::size_t k = config.params.k();
-  const double a = config.params.inner_ratio * hier.side_at(h);
-  const dp::BoxedParticles& boxed = ws.boxed;
-  const ParticleSet& p = boxed.sorted;
-  const std::span<double> phi{ws.phi_sorted};
-  const std::span<Vec3> grad{ws.grad_sorted};
   std::uint64_t local_flops = 0;
   for (std::size_t i = lo; i < hi; ++i) {
     const std::size_t f = flats.empty() ? i : flats[i];
-    const std::uint32_t rank = boxed.flat_to_rank[f];
-    const std::uint32_t b = boxed.box_begin[rank];
-    const std::uint32_t e = boxed.box_begin[rank + 1];
-    if (b == e) continue;
-    const tree::BoxCoord c = hier.coord_of(h, f);
-    const std::span<const double> g{ws.local[h].data() + i * k, k};
-    if (grad.empty()) {
-      anderson::l2p(config.params, a, hier.center(h, c), g,
-                    p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                    p.z().subspan(b, e - b), phi.subspan(b, e - b));
-    } else {
-      anderson::l2p_gradient(config.params, a, hier.center(h, c), g,
-                             p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                             p.z().subspan(b, e - b), phi.subspan(b, e - b),
-                             grad.subspan(b, e - b));
-    }
-    local_flops += anderson::l2p_flops(k, e - b, config.params.truncation);
+    const auto [b, e] = leaf_range(ws.boxed, f);
+    local_flops += l2p_box(config, hier, ws, h, f, i, b, e);
   }
   stats.flops += local_flops;
 }

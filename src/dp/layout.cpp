@@ -32,6 +32,27 @@ BlockLayout::BlockLayout(std::int32_t boxes_per_side,
   sx_ = std::int32_t{1} << lbx_;
   sy_ = std::int32_t{1} << lby_;
   sz_ = std::int32_t{1} << lbz_;
+
+  // Key bit positions. Local bits fill the low positions group by group,
+  // x then y then z within a group, skipping an axis once its local bits
+  // are used up; the VU-address bits of x, y, z follow in that order.
+  const int local[3] = {lbx_, lby_, lbz_};
+  int pos[3][32] = {};
+  int next = 0;
+  for (int b = 0; b < nb; ++b)
+    for (int a = 0; a < 3; ++a)
+      if (b < local[a]) pos[a][b] = next++;
+  const int vu_shift[3] = {next, next + vbx_, next + vbx_ + vby_};
+  for (int a = 0; a < 3; ++a) {
+    axis_key_[a].resize(static_cast<std::size_t>(n_));
+    for (std::int32_t i = 0; i < n_; ++i) {
+      std::uint64_t key = static_cast<std::uint64_t>(i >> local[a])
+                          << vu_shift[a];
+      for (int b = 0; b < local[a]; ++b)
+        key |= static_cast<std::uint64_t>((i >> b) & 1) << pos[a][b];
+      axis_key_[a][static_cast<std::size_t>(i)] = key;
+    }
+  }
 }
 
 BoxHome BlockLayout::home_of(const tree::BoxCoord& c) const {
@@ -52,20 +73,6 @@ tree::BoxCoord BlockLayout::global_of(const BoxHome& h) const {
       static_cast<std::int32_t>(vu / (static_cast<std::int64_t>(config_.vu_x) *
                                       config_.vu_y));
   return {(vx << lbx_) | h.lx, (vy << lby_) | h.ly, (vz << lbz_) | h.lz};
-}
-
-std::uint64_t BlockLayout::sort_key(const tree::BoxCoord& c) const {
-  // VU-address bits (z above y above x) above local bits (z above y above x):
-  // the paper's z..zy..yx..x | z..zy..yx..x key (Figure 5 / Section 3.2).
-  const std::uint64_t vx = static_cast<std::uint32_t>(c.ix) >> lbx_;
-  const std::uint64_t vy = static_cast<std::uint32_t>(c.iy) >> lby_;
-  const std::uint64_t vz = static_cast<std::uint32_t>(c.iz) >> lbz_;
-  const std::uint64_t lx = c.ix & (sx_ - 1);
-  const std::uint64_t ly = c.iy & (sy_ - 1);
-  const std::uint64_t lz = c.iz & (sz_ - 1);
-  const std::uint64_t local = (((lz << lby_) | ly) << lbx_) | lx;
-  const std::uint64_t vu = (((vz << vby_) | vy) << vbx_) | vx;
-  return (vu << (lbx_ + lby_ + lbz_)) | local;
 }
 
 std::string BlockLayout::describe() const {

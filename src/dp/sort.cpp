@@ -4,8 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "hfmm/util/morton.hpp"
-
 namespace hfmm::dp {
 
 namespace {
@@ -66,6 +64,20 @@ void group_by_rank(const ParticleSet& particles, SortScratch& scratch,
 }
 
 }  // namespace
+
+std::pair<std::uint32_t, std::uint32_t> box_range(const BoxedParticles& boxed,
+                                                  const tree::Hierarchy& hier,
+                                                  int level, std::size_t flat) {
+  const int h = hier.depth();
+  const int s = h - level;
+  const tree::BoxCoord c = hier.coord_of(level, flat);
+  const tree::BoxCoord first{c.ix << s, c.iy << s, c.iz << s};
+  const std::int32_t span = (std::int32_t{1} << s) - 1;
+  const tree::BoxCoord last{first.ix + span, first.iy + span,
+                            first.iz + span};
+  return {boxed.box_begin[boxed.flat_to_rank[hier.flat_index(h, first)]],
+          boxed.box_begin[boxed.flat_to_rank[hier.flat_index(h, last)] + 1]};
+}
 
 void coordinate_sort(const ParticleSet& particles, const tree::Hierarchy& hier,
                      const BlockLayout& layout, BoxedParticles& out,
@@ -242,32 +254,6 @@ StepSortResult coordinate_sort_step(const ParticleSet& particles,
   std::swap(scr.rank_of, scr.rank_new);
   gather_sorted(particles, scr, out);
   return res;
-}
-
-BoxedParticles morton_sort(const ParticleSet& particles,
-                           const tree::Hierarchy& hier) {
-  const std::size_t n = particles.size();
-  const int depth = hier.depth();
-  const std::size_t boxes = hier.boxes_at(depth);
-
-  SortScratch scratch;
-  scratch.rank_of.resize(n);
-  scratch.flat_of.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const tree::BoxCoord c = hier.leaf_of(particles.position(i));
-    scratch.rank_of[i] =
-        static_cast<std::uint32_t>(morton_encode(c.ix, c.iy, c.iz));
-    scratch.flat_of[i] = static_cast<std::uint32_t>(hier.flat_index(depth, c));
-  }
-  BoxedParticles out;
-  out.rank_to_flat.resize(boxes);
-  for (std::size_t f = 0; f < boxes; ++f) {
-    const tree::BoxCoord c = hier.coord_of(depth, f);
-    out.rank_to_flat[morton_encode(c.ix, c.iy, c.iz)] =
-        static_cast<std::uint32_t>(f);
-  }
-  group_by_rank(particles, scratch, out);
-  return out;
 }
 
 SortLocality measure_locality(const BoxedParticles& boxed,

@@ -184,15 +184,17 @@ core::FmmConfig reference_of(core::FmmConfig cfg) {
 void expect_bitwise_equal(const core::FmmResult& ref,
                           const core::FmmResult& got) {
   ASSERT_EQ(ref.phi.size(), got.phi.size());
-  if (!ref.phi.empty())
+  if (!ref.phi.empty()) {
     EXPECT_EQ(std::memcmp(ref.phi.data(), got.phi.data(),
                           ref.phi.size() * sizeof(double)),
               0);
+  }
   ASSERT_EQ(ref.grad.size(), got.grad.size());
-  if (!ref.grad.empty())
+  if (!ref.grad.empty()) {
     EXPECT_EQ(std::memcmp(ref.grad.data(), got.grad.data(),
                           ref.grad.size() * sizeof(Vec3)),
               0);
+  }
 }
 
 // Measured fabric traffic vs the LET plan's byte model: exact equality, and

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "hfmm/dp/halo.hpp"
 #include "hfmm/dp/multigrid.hpp"
@@ -105,6 +107,39 @@ TEST(LayoutTest, SortKeysAreDenseAndVuMajor) {
         EXPECT_EQ(k / l.boxes_per_vu(), l.home_of({x, y, z}).vu);
       }
   EXPECT_EQ(keys.size(), 64u);
+}
+
+TEST(LayoutTest, EveryOctreeBoxIsOneKeyRange) {
+  // Leaf grid 8^3 (depth 3). A box at level l covers 2^(3-l) leaves per
+  // axis; it lies inside one VU when that span fits the smallest local
+  // extent, and then its leaves' keys must form one contiguous range.
+  const int h = 3;
+  for (const MachineConfig mc : {MachineConfig{1, 1, 1},
+                                 MachineConfig{2, 1, 1}}) {
+    const BlockLayout l(8, mc);
+    const int min_local = std::min(
+        {l.local_bits_x(), l.local_bits_y(), l.local_bits_z()});
+    for (int level = h - min_local; level <= h; ++level) {
+      const std::int32_t side = std::int32_t{1} << (h - level);
+      const std::int32_t boxes = std::int32_t{1} << level;
+      for (std::int32_t bz = 0; bz < boxes; ++bz)
+        for (std::int32_t by = 0; by < boxes; ++by)
+          for (std::int32_t bx = 0; bx < boxes; ++bx) {
+            std::set<std::uint64_t> keys;
+            for (std::int32_t z = 0; z < side; ++z)
+              for (std::int32_t y = 0; y < side; ++y)
+                for (std::int32_t x = 0; x < side; ++x)
+                  keys.insert(l.sort_key(
+                      {bx * side + x, by * side + y, bz * side + z}));
+            ASSERT_EQ(keys.size(),
+                      static_cast<std::size_t>(side) * side * side);
+            EXPECT_EQ(*keys.rbegin() - *keys.begin() + 1, keys.size())
+                << "VU grid " << mc.vu_x << "x" << mc.vu_y << "x" << mc.vu_z
+                << ", level " << level << ", box (" << bx << ", " << by
+                << ", " << bz << ")";
+          }
+    }
+  }
 }
 
 TEST(LayoutTest, RejectsBadShapes) {
@@ -403,6 +438,30 @@ TEST(SortTest, CoordinateSortGroupsByBox) {
   }
 }
 
+TEST(SortTest, OneVuSortMakesEveryBoxOneRange) {
+  // With one VU the key is the Morton code, so the particles of any box at
+  // any level are exactly box_range's slice of the sorted order.
+  const tree::Hierarchy hier(Box3{}, 3);
+  const BlockLayout layout(8, {1, 1, 1});
+  const ParticleSet p = make_uniform(700, Box3{}, 23);
+  const BoxedParticles b = coordinate_sort(p, hier, layout);
+  for (int level = 0; level <= 3; ++level) {
+    // Flat index at `level` of the box holding sorted particle i.
+    const auto box_at_level = [&](std::size_t i) {
+      tree::BoxCoord c = hier.coord_of(3, b.box_of[i]);
+      for (int l = 3; l > level; --l) c = tree::Hierarchy::parent_of(c);
+      return hier.flat_index(level, c);
+    };
+    std::vector<std::uint32_t> count(hier.boxes_at(level), 0);
+    for (std::size_t i = 0; i < b.sorted.size(); ++i) ++count[box_at_level(i)];
+    for (std::size_t f = 0; f < hier.boxes_at(level); ++f) {
+      const auto [lo, hi] = box_range(b, hier, level, f);
+      ASSERT_EQ(hi - lo, count[f]) << "level " << level << ", box " << f;
+      for (std::uint32_t i = lo; i < hi; ++i) EXPECT_EQ(box_at_level(i), f);
+    }
+  }
+}
+
 TEST(SortTest, PermRecoversOriginalOrder) {
   const tree::Hierarchy hier(Box3{}, 2);
   const BlockLayout layout(4, {1, 1, 1});
@@ -435,8 +494,10 @@ TEST(SortTest, MortonSortIsLessLocalThanCoordinateSort) {
     p.set(f, hier.center(3, hier.coord_of(3, f)), 1.0);
   const SortLocality coord =
       measure_locality(coordinate_sort(p, hier, layout), hier, layout);
+  // A one-VU layout has no VU bits: its key is the plain Morton code.
+  const BlockLayout one_vu(8, {1, 1, 1});
   const SortLocality morton =
-      measure_locality(morton_sort(p, hier), hier, layout);
+      measure_locality(coordinate_sort(p, hier, one_vu), hier, layout);
   EXPECT_DOUBLE_EQ(coord.home_fraction, 1.0);
   EXPECT_LT(morton.home_fraction, 1.0);
 }

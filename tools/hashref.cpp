@@ -1,6 +1,6 @@
 // Prints FNV-1a hashes of solver outputs over a config sweep — the dense
 // executor on uniform input, the sparse and adaptive executors on a
-// clustered (Plummer) input, the van der Waals kernel on the dense and
+// clustered (Plummer) input, the adaptive executor on uniform input, the van der Waals kernel on the dense and
 // sparse executors, incremental stepping, and the 2-D solver — each run
 // sequentially and threaded.
 //
@@ -163,6 +163,14 @@ int main() {
                       sn, sym);
         print_cold_warm(label, mode, cfg, plummer);
       }
+    }
+    // Adaptive front of coarse leaves on uniform input: with ncrit=64 each
+    // front leaf covers many leaves of the adaptive sort's deeper grid.
+    {
+      core::FmmConfig cfg = base;
+      cfg.hierarchy = core::HierarchyMode::kAdaptive;
+      cfg.ncrit = 64;
+      print_cold_warm("adaptive-uniform ncrit=64", mode, cfg, p);
     }
     // Van der Waals kernel on the dense and sparse executors.
     {
