@@ -19,7 +19,17 @@
 //                   ... ] },
 //       ... ],
 //     "integrator": { "n":.., "steps":.., "first_eval_seconds":..,
-//       "warm_step_seconds":.. } }
+//       "warm_step_seconds":.. },
+//     "ncrit_sweep": { "nproc":.., "rounds":.., "warm_per_round":..,
+//       "rows": [
+//       { "input": "plummer", "n":.., "mode": "sequential", "ncrit":..,
+//         "pick":.., "model_seconds":.., "warm_seconds":..,
+//         "warm_min_seconds":.., "warm_max_seconds":.., "active_seconds":..,
+//         "near_pairs":.., "front_leaves":.., "active_boxes":.. }, ... ],
+//       "picks": [ { "input":.., "n":.., "mode":.., "pick":..,
+//         "pick_seconds":.., "pick_rung_seconds":..,
+//         "select_overhead_seconds":.., "best_ncrit":.., "best_seconds":..,
+//         "pick_over_best":.. }, ... ] } }
 // total_seconds is the COLD solve (plan + workspace built); warm_seconds is
 // the best-of-3 warm solve on the reused plan/workspace.
 //
@@ -28,10 +38,19 @@
 // triple at depth 4 and 5 always runs so the sparse hierarchy's cold/warm
 // cost, workspace footprint and the adaptive front's near-field pair count
 // are diffable against the dense path.
+//
+// The ncrit sweep solves adaptive Plummer (N = 0.64n and n) and uniform
+// (N = n and 2n) inputs — the hfmm_bench `plummer` config: K = 12, gradient
+// on, no supernodes — once per forced ladder rung (8..128) and once with
+// the cost-model pick (ncrit 0), sequential and threaded, and writes each
+// row's warm median beside the model's time for that front, so the model's
+// error and its pick against the best rung are both visible.
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -251,6 +270,151 @@ RunOutcome run(const char* label, const char* slug,
   return {total, warm, r.workspace_bytes, near_pairs};
 }
 
+// Each sweep row is solved in kSweepRounds rounds, one rung after another
+// in every round, so a slow spell of a shared host lands on all rungs; a
+// round builds a fresh solver (one cold solve) and times kSweepWarm warm
+// solves. The row reports the median, min and max of the warm times.
+constexpr int kSweepRounds = 3;
+constexpr int kSweepWarm = 3;
+constexpr int kSweepReps = kSweepRounds * kSweepWarm;
+
+struct SweepRow {
+  int ncrit = 0;  // forced rung, 0 = the cost-model pick
+  int pick = 0;   // the ncrit the front was refined with
+  double model = 0.0, warm = 0.0, warm_min = 0.0, warm_max = 0.0;
+  double active = 0.0;
+  std::uint64_t near_pairs = 0;
+  std::size_t leaves = 0, boxes = 0;
+  std::vector<double> warm_samples, active_samples;
+};
+
+void sweep_round(const ParticleSet& p, core::ExecutionMode mode,
+                 SweepRow& row) {
+  core::FmmConfig cfg;
+  cfg.hierarchy = core::HierarchyMode::kAdaptive;
+  cfg.with_gradient = true;
+  cfg.supernodes = false;
+  cfg.step_incremental = false;
+  cfg.mode = mode;
+  cfg.ncrit = row.ncrit;
+  core::FmmSolver solver(cfg);
+  (void)solver.solve(p);  // cold: plan and workspace
+  for (int rep = 0; rep < kSweepWarm; ++rep) {
+    WallTimer t;
+    const core::FmmResult r = solver.solve(p);
+    row.warm_samples.push_back(t.seconds());
+    row.active_samples.push_back(r.breakdown.phases().at("active").seconds);
+    row.pick = r.ncrit;
+    row.model = r.modeled_seconds;
+    row.near_pairs = r.breakdown.phases().at("near").pairs;
+    row.leaves = r.front_leaves;
+    row.boxes = r.active_boxes;
+  }
+}
+
+void finish_row(SweepRow& row) {
+  std::sort(row.warm_samples.begin(), row.warm_samples.end());
+  std::sort(row.active_samples.begin(), row.active_samples.end());
+  row.warm = row.warm_samples[kSweepReps / 2];
+  row.warm_min = row.warm_samples.front();
+  row.warm_max = row.warm_samples.back();
+  row.active = row.active_samples[kSweepReps / 2];
+}
+
+void ncrit_sweep(std::size_t n, std::FILE* json) {
+  std::printf("\n==== adaptive ncrit sweep: forced rungs vs the cost-model "
+              "pick (K = 12, gradient, no supernodes) ====\n");
+  struct Input {
+    const char* name;
+    std::size_t n;
+  };
+  const Input inputs[] = {{"plummer", n * 16 / 25},
+                          {"plummer", n},
+                          {"uniform", n},
+                          {"uniform", 2 * n}};
+  static constexpr int kRungs[] = {8, 16, 32, 64, 128, 0};
+  if (json != nullptr)
+    std::fprintf(json,
+                 ",\n  \"ncrit_sweep\": { \"nproc\": %u, \"rounds\": %d, "
+                 "\"warm_per_round\": %d, \"rows\": [",
+                 std::thread::hardware_concurrency(), kSweepRounds,
+                 kSweepWarm);
+  std::string picks;
+  bool first_row = true;
+  for (const Input& in : inputs) {
+    const ParticleSet p = make_dist(in.name, in.n, 1);
+    for (const core::ExecutionMode mode :
+         {core::ExecutionMode::kSequential, core::ExecutionMode::kThreads}) {
+      const char* mode_name =
+          mode == core::ExecutionMode::kSequential ? "sequential" : "threads";
+      std::printf("\n%s N = %zu, %s\n", in.name, in.n, mode_name);
+      Table table({"ncrit", "pick", "model (s)", "warm (s)", "warm/model",
+                   "active (s)", "near pairs", "leaves", "boxes"});
+      std::vector<SweepRow> rows(std::size(kRungs));
+      for (std::size_t i = 0; i < rows.size(); ++i) rows[i].ncrit = kRungs[i];
+      for (int round = 0; round < kSweepRounds; ++round)
+        for (SweepRow& r : rows) sweep_round(p, mode, r);
+      for (SweepRow& r : rows) {
+        finish_row(r);
+        const int rung = r.ncrit;
+        table.row({rung == 0 ? std::string("model")
+                             : Table::num(static_cast<std::uint64_t>(rung)),
+                   Table::num(static_cast<std::uint64_t>(r.pick)),
+                   Table::num(r.model, 3),
+                   Table::num(r.warm, 3), Table::num(r.warm / r.model, 3),
+                   Table::num(r.active, 3), Table::num(r.near_pairs),
+                   Table::num(r.leaves), Table::num(r.boxes)});
+        if (json != nullptr) {
+          std::fprintf(
+              json,
+              "%s\n      { \"input\": \"%s\", \"n\": %zu, \"mode\": "
+              "\"%s\", \"ncrit\": %d, \"pick\": %d, "
+              "\"model_seconds\": %.6f, \"warm_seconds\": %.6f, "
+              "\"warm_min_seconds\": %.6f, \"warm_max_seconds\": %.6f, "
+              "\"active_seconds\": %.6f, \"near_pairs\": %llu, "
+              "\"front_leaves\": %zu, \"active_boxes\": %zu }",
+              first_row ? "" : ",", in.name, in.n, mode_name, rung, r.pick,
+              r.model, r.warm, r.warm_min, r.warm_max, r.active,
+              static_cast<unsigned long long>(r.near_pairs), r.leaves,
+              r.boxes);
+          first_row = false;
+        }
+      }
+      table.print(std::cout);
+      // The pick row against the best forced rung (selection included),
+      // and the forced row of the picked rung: its time shows the model's
+      // ranking alone, its active phase the selection's overhead.
+      const SweepRow& model = rows.back();
+      const SweepRow* best = &rows.front();
+      const SweepRow* picked = &rows.front();
+      for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+        if (rows[i].warm < best->warm) best = &rows[i];
+        if (rows[i].ncrit == model.pick) picked = &rows[i];
+      }
+      const double overhead = model.active - picked->active;
+      std::printf("model pick %d: %.3f s (forced %.3f s, selection %.3f s), "
+                  "best forced rung %d: %.3f s (pick/best %.3f)\n",
+                  model.pick, model.warm, picked->warm, overhead, best->ncrit,
+                  best->warm, model.warm / best->warm);
+      std::fflush(stdout);
+      char buf[400];
+      std::snprintf(buf, sizeof buf,
+                    "%s\n      { \"input\": \"%s\", \"n\": %zu, "
+                    "\"mode\": \"%s\", \"pick\": %d, "
+                    "\"pick_seconds\": %.6f, \"pick_rung_seconds\": %.6f, "
+                    "\"select_overhead_seconds\": %.6f, "
+                    "\"best_ncrit\": %d, \"best_seconds\": %.6f, "
+                    "\"pick_over_best\": %.4f }",
+                    picks.empty() ? "" : ",", in.name, in.n, mode_name,
+                    model.pick, model.warm, picked->warm, overhead,
+                    best->ncrit, best->warm, model.warm / best->warm);
+      picks += buf;
+    }
+  }
+  if (json != nullptr)
+    std::fprintf(json, "\n    ],\n    \"picks\": [%s\n    ] }", picks.c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -407,11 +571,16 @@ int main(int argc, char** argv) {
       std::fprintf(json,
                    "\n  ],\n  \"integrator\": { \"n\": %zu, \"steps\": %d, "
                    "\"first_eval_seconds\": %.6f, "
-                   "\"warm_step_seconds\": %.6f }\n}\n",
+                   "\"warm_step_seconds\": %.6f }",
                    n_int, steps, first_eval, per_step);
-      std::fclose(json);
-      std::printf("\nper-phase JSON written to %s\n", json_path);
     }
+  }
+
+  ncrit_sweep(n, json);
+  if (json != nullptr) {
+    std::fprintf(json, "\n}\n");
+    std::fclose(json);
+    std::printf("\nper-phase JSON written to %s\n", json_path);
   }
   return 0;
 }

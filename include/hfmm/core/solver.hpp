@@ -78,6 +78,10 @@ struct FmmResult {
   /// The ncrit the adaptive front was refined with (config.ncrit, or the
   /// cost-model selection when config.ncrit == 0). 0 on non-adaptive solves.
   int ncrit = 0;
+  /// The cost model's time for the adaptive front this solve ran
+  /// (tree::RefinementCost::seconds) — set beside the measured breakdown so
+  /// the model's error shows per solve. 0 on non-adaptive solves.
+  double modeled_seconds = 0.0;
   /// Leaves of the adaptive front (== leaf_boxes on adaptive solves).
   std::size_t front_leaves = 0;
   /// Total active boxes over all levels (== total dense boxes when dense).

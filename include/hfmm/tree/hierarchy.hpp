@@ -7,6 +7,7 @@
 // level in x-fastest order — the same order used to embed each level in the
 // distributed potential arrays (Section 3.1, Figure 3).
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -46,8 +47,17 @@ class Hierarchy {
 
   /// Flat index of a box within its level, x-fastest:
   /// index = (iz * 2^l + iy) * 2^l + ix.
-  std::size_t flat_index(int level, const BoxCoord& c) const;
-  BoxCoord coord_of(int level, std::size_t flat) const;
+  std::size_t flat_index(int level, const BoxCoord& c) const {
+    assert(in_bounds(level, c));
+    const std::size_t n = static_cast<std::size_t>(boxes_per_side(level));
+    return (static_cast<std::size_t>(c.iz) * n + c.iy) * n + c.ix;
+  }
+  BoxCoord coord_of(int level, std::size_t flat) const {
+    const std::size_t mask = (std::size_t{1} << level) - 1;
+    return {static_cast<std::int32_t>(flat & mask),
+            static_cast<std::int32_t>((flat >> level) & mask),
+            static_cast<std::int32_t>(flat >> (2 * level))};
+  }
 
   /// Center of box (level, c).
   Vec3 center(int level, const BoxCoord& c) const;
@@ -74,7 +84,11 @@ class Hierarchy {
     return {(o & 1) ? 0.5 : -0.5, (o & 2) ? 0.5 : -0.5, (o & 4) ? 0.5 : -0.5};
   }
 
-  bool in_bounds(int level, const BoxCoord& c) const;
+  bool in_bounds(int level, const BoxCoord& c) const {
+    const std::int32_t n = boxes_per_side(level);
+    return c.ix >= 0 && c.ix < n && c.iy >= 0 && c.iy < n && c.iz >= 0 &&
+           c.iz < n;
+  }
 
  private:
   Box3 root_;

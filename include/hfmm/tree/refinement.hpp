@@ -17,10 +17,10 @@
 // supernode translations, V-list style); the near field becomes a U list of
 // leaf-leaf adjacencies evaluated at the finer side (for_each_near_pair).
 //
-// The refinement threshold is picked by MINIMIZING MODELED COST — exact
-// U-list pair counts plus translation counts per tree box — instead of mean
-// occupancy (front_cost / select_ncrit / select_uniform_depth). All builders
-// reuse the caller's buffers so warm solves perform no heap growth.
+// The refinement threshold is picked by MINIMIZING MODELED TIME — exact
+// U-list pair and call counts plus translations per tree box — instead of
+// mean occupancy (front_cost / select_ncrit / select_uniform_depth). All
+// builders reuse the caller's buffers so warm solves perform no heap growth.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,6 +30,10 @@
 #include "hfmm/tree/active_set.hpp"
 #include "hfmm/tree/hierarchy.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
+
+namespace hfmm {
+class ThreadPool;
+}  // namespace hfmm
 
 namespace hfmm::tree {
 
@@ -52,6 +56,9 @@ struct LeafFront {
   std::vector<std::vector<std::uint8_t>> state;
   /// Per level, per active index: front leaf id, -1 when not a leaf.
   std::vector<std::vector<std::int32_t>> leaf_id;
+  /// Per level, per active index: 1 when the box has an internal child —
+  /// the balance ripple's working set.
+  std::vector<std::vector<std::uint8_t>> deep;
   /// Canonical leaf enumeration, ascending (level, flat index) — the fixed
   /// evaluation order every near-field plan and reduction follows.
   std::vector<std::int32_t> leaf_level;
@@ -74,10 +81,10 @@ void build_subtree_counts(const Hierarchy& hier, const ActiveLevels& act,
 
 /// Marks the leaf front for `ncrit` over the full active sets: top-down
 /// reachability, leaf when the subtree count drops to <= ncrit (or the box
-/// sits at act.depth), then the balance ripple — any leaf with a direct
-/// partner two or more levels deeper (a leaf within `near` offsets of the
-/// partner's same-level ancestor) is split until every adjacency spans at
-/// most one level. `counts` comes from build_subtree_counts; `near` is
+/// sits at act.depth), then the balance ripple — any leaf within `near`
+/// offsets of a same-level box with an internal child (so with a direct
+/// partner two or more levels deeper) is split until every adjacency spans
+/// at most one level. `counts` comes from build_subtree_counts; `near` is
 /// tree::near_field_offsets(d). Deterministic; buffers reused across calls.
 void build_leaf_front(const Hierarchy& hier, const ActiveLevels& act,
                       const std::vector<std::vector<std::uint32_t>>& counts,
@@ -131,30 +138,56 @@ void for_each_near_pair(const Hierarchy& hier, const ActiveLevels& act,
   }
 }
 
-/// Constants of the refinement cost model. The two tunables mirror the real
-/// executors: a near-field particle pair costs pair_flops; a tree box costs
-/// box_flops() of translation work (its V-list gemvs plus its share of the
-/// upward/downward sweeps), shrinking when supernodes aggregate the list.
+/// The refinement cost model (DESIGN.md Section 15): modeled seconds of a
+/// front from three per-operation rates, fitted once to a forced-ncrit
+/// sweep (bench_breakdown's "ncrit_sweep" rows; Release build, 4-core
+/// x86-64 with AVX2, sequential solves) and compiled in, so the pick is a
+/// pure function of the input and the config:
+///   * near pairs: ns per U-list particle pair;
+///   * leaf-pair calls: ns per direct-kernel call — one per front leaf (its
+///     self pairs) and one per U-list adjacency. This per-call overhead is
+///     what makes small leaves slow;
+///   * translations: ns per entry of a K x K translation matrix, times the
+///     translations a tree box carries — the full interaction-list length
+///     for the separation and supernode setting, plus its upward and
+///     downward translation.
+/// The near rates depend on whether the solve evaluates the gradient.
 struct RefinementCostParams {
   std::size_t k = 12;
   bool supernodes = true;
-  double pair_flops = 30.0;
-  double box_flops() const {
-    const double interactions = supernodes ? 40.0 : 150.0;
-    return (interactions + 16.0) * 2.0 * static_cast<double>(k * k);
+  bool gradient = true;
+  int separation = 2;
+
+  struct NearRates {
+    double pair_ns;  ///< per near-field particle pair
+    double call_ns;  ///< per leaf-pair kernel call
+  };
+  static constexpr NearRates kNearPotential{1.1, 40.0};
+  static constexpr NearRates kNearGradient{2.0, 130.0};
+  static constexpr double kTranslationNsPerEntry = 0.31;
+
+  NearRates near_rates() const {
+    return gradient ? kNearGradient : kNearPotential;
   }
+  /// Modeled ns of the translations one tree box carries.
+  double box_ns() const;
 };
 
 /// Modeled cost of one leaf-front (or uniform-level) configuration.
 struct RefinementCost {
   std::uint64_t near_pairs = 0;  ///< U-list particle pairs (unordered)
+  std::uint64_t leaf_calls = 0;  ///< front leaves plus U-list adjacencies
   std::uint64_t tree_boxes = 0;  ///< boxes carrying expansions
-  double flops = 0.0;            ///< pair_flops * pairs + box_flops * boxes
+  double seconds = 0.0;          ///< modeled time of the three terms
 };
+
+/// Fills `cost.seconds` from its counts.
+void apply_cost_model(const RefinementCostParams& params, RefinementCost& cost);
 
 /// Exact modeled cost of a marked front: near_pairs counts every intra-leaf
 /// unordered pair plus every U-list adjacency pair (for_each_near_pair);
-/// tree_boxes counts the pruned tree.
+/// leaf_calls counts the leaves and the adjacencies; tree_boxes counts the
+/// pruned tree.
 RefinementCost front_cost(const Hierarchy& hier, const ActiveLevels& act,
                           const std::vector<std::vector<std::uint32_t>>& counts,
                           const LeafFront& front, std::span<const Offset> near,
@@ -179,9 +212,28 @@ int select_uniform_depth(const Hierarchy& hier, const ActiveLevels& act,
                          const RefinementCostParams& params,
                          int min_level = 2);
 
-/// Picks the ncrit from `candidates` whose marked front minimizes
-/// front_cost (first minimum wins — deterministic). `scratch` holds the
-/// candidate fronts; the caller re-marks the winner afterwards.
+/// Picks the ncrit from `candidates` (at most 16) whose marked front
+/// minimizes front_cost (first minimum wins). The last candidate — the
+/// coarsest on an ascending ladder — is costed first; any other whose
+/// marked front already carries more modeled box and call time than that
+/// cost, before the balance ripple, is dismissed without a ripple or a
+/// cost pass, since it cannot be the minimum. With one front per candidate
+/// (fronts.size() >= candidates.size()) and a pool, the remaining
+/// candidates are evaluated in parallel, candidate i in fronts[i], so the
+/// winner's front is left complete in its slot (a dismissed candidate's
+/// front is left marked but not balanced); otherwise they run one after
+/// another in fronts[0]. The pick depends only on the input and params,
+/// never on the path or the worker count.
+int select_ncrit(const Hierarchy& hier, const ActiveLevels& act,
+                 const std::vector<std::vector<std::uint32_t>>& counts,
+                 std::span<const Offset> near,
+                 std::span<const Offset> near_half,
+                 const RefinementCostParams& params,
+                 std::span<const int> candidates, int min_level,
+                 std::span<LeafFront> fronts, ThreadPool* pool);
+
+/// The sequential form: every candidate is marked into `scratch`, and the
+/// caller re-marks the winner afterwards.
 int select_ncrit(const Hierarchy& hier, const ActiveLevels& act,
                  const std::vector<std::vector<std::uint32_t>>& counts,
                  std::span<const Offset> near,

@@ -115,24 +115,38 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
     tree::RefinementCostParams cost_params;
     cost_params.k = k;
     cost_params.supernodes = config_.supernodes;
+    cost_params.gradient = config_.with_gradient;
+    cost_params.separation = config_.separation;
+    // The cost-model pick evaluates the ladder rungs on the pool, one front
+    // per rung, and copies the winner's front (a copy, not a swap, so every
+    // buffer keeps its capacity across warm solves); a forced ncrit marks
+    // its front directly.
+    const auto fronts_bytes = [&] {
+      std::size_t b = ws.front.capacity_bytes();
+      for (const tree::LeafFront& f : ws.rung_fronts) b += f.capacity_bytes();
+      return b;
+    };
+    static constexpr int kLadder[] = {8, 16, 32, 64, 128};
+    const std::size_t cap_before = fronts_bytes();
     int ncrit = config_.ncrit;
     if (ncrit <= 0) {
-      static constexpr int kLadder[] = {8, 16, 32, 64, 128};
-      const std::size_t cap_before = ws.front_scratch.capacity_bytes();
+      if (ws.rung_fronts.size() < std::size(kLadder))
+        ws.rung_fronts.resize(std::size(kLadder));
       ncrit = tree::select_ncrit(hier, ws.active, ws.subtree_counts,
                                  near_full, near_half, cost_params, kLadder,
-                                 /*min_level=*/2, ws.front_scratch);
-      if (ws.front_scratch.capacity_bytes() != cap_before)
-        ws.allocs.fetch_add(1, std::memory_order_relaxed);
-    }
-    result.ncrit = ncrit;
-    {
-      const std::size_t cap_before = ws.front.capacity_bytes();
+                                 /*min_level=*/2, ws.rung_fronts,
+                                 impl_->pool);
+      const std::size_t won = static_cast<std::size_t>(
+          std::find(std::begin(kLadder), std::end(kLadder), ncrit) -
+          std::begin(kLadder));
+      ws.front = ws.rung_fronts[won];
+    } else {
       tree::build_leaf_front(hier, ws.active, ws.subtree_counts, ncrit,
                              /*min_level=*/2, near_full, ws.front);
-      if (ws.front.capacity_bytes() != cap_before)
-        ws.allocs.fetch_add(1, std::memory_order_relaxed);
     }
+    if (fronts_bytes() != cap_before)
+      ws.allocs.fetch_add(1, std::memory_order_relaxed);
+    result.ncrit = ncrit;
     {
       const std::size_t cap_before =
           ws.pruned.capacity_bytes() + vv_bytes(ws.pruned_leaf);
@@ -186,14 +200,23 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
           ws.active.levels[ll].dense_to_active[front.leaf_flat[li]];
       ws.leaf_cost[li] = ws.subtree_counts[ll][static_cast<std::size_t>(ai)];
     }
+    // The front's modeled cost comes from the same counts: unordered self
+    // pairs plus U-list pairs, one kernel call per leaf and per adjacency.
+    tree::RefinementCost model;
+    model.leaf_calls = nl + npairs;
+    model.tree_boxes = ws.pruned.total_active();
     for (std::size_t li = 0; li < nl; ++li) {
       const std::uint64_t t = ws.leaf_cost[li];
-      std::uint64_t pairs = t * (t > 0 ? t - 1 : 0);
+      const std::uint64_t self = t * (t > 0 ? t - 1 : 0);
+      std::uint64_t cross = 0;
       for (std::uint32_t pi = ws.pair_begin[li]; pi < ws.pair_begin[li + 1];
            ++pi)
-        pairs += t * ws.leaf_cost[ws.pair_leaf[pi]];
-      ws.near_cost[li] = pairs;
+        cross += t * ws.leaf_cost[ws.pair_leaf[pi]];
+      ws.near_cost[li] = self + cross;
+      model.near_pairs += self / 2 + cross;
     }
+    tree::apply_cost_model(cost_params, model);
+    result.modeled_seconds = model.seconds;
 
     PhaseStats& st = result.breakdown["active"];
     st.boxes_active += ws.pruned.total_active();

@@ -295,15 +295,16 @@ struct SolveWorkspace {
   StepCache step;
   std::vector<std::uint32_t> cost_patch;
   // Adaptive leaf-front executor state (DESIGN.md Section 15): per-fine-leaf
-  // body counts, subtree counts, the marked front (plus the ncrit-selector's
-  // scratch front), the pruned refined-tree level sets with their leaf
+  // body counts, subtree counts, the marked front (plus the ncrit selector's
+  // per-rung fronts), the pruned refined-tree level sets with their leaf
   // flags, and the U-list plan in canonical leaf order — leaf_bounds holds
   // each front leaf's sorted particle range ([begin, end) pairs), pair_begin
   // is a CSR over front leaves into pair_leaf (partner leaf ids). All
   // reused across solves.
   std::vector<std::uint32_t> leaf_counts;
   std::vector<std::vector<std::uint32_t>> subtree_counts;
-  tree::LeafFront front, front_scratch;
+  tree::LeafFront front;
+  std::vector<tree::LeafFront> rung_fronts;  // one per cost-model ladder rung
   tree::ActiveLevels pruned;
   std::vector<std::vector<std::uint8_t>> pruned_leaf;
   std::vector<std::uint32_t> leaf_bounds, pair_begin, pair_leaf;
@@ -349,8 +350,8 @@ struct SolveWorkspace {
              cap(pair_leaf);
     for (const auto& v : subtree_counts) total += cap(v);
     for (const auto& v : pruned_leaf) total += cap(v);
-    total += front.capacity_bytes() + front_scratch.capacity_bytes() +
-             pruned.capacity_bytes();
+    total += front.capacity_bytes() + pruned.capacity_bytes();
+    for (const auto& f : rung_fronts) total += f.capacity_bytes();
     for (const auto& ch : near_scratch.chunks) {
       total += cap(ch.phi) + cap(ch.grad) + cap(ch.pair_phi) + cap(ch.pair_gx) +
                cap(ch.pair_gy) + cap(ch.pair_gz);

@@ -1,7 +1,6 @@
 #include "hfmm/tree/hierarchy.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -15,19 +14,6 @@ Hierarchy::Hierarchy(const Box3& root, int depth) : root_(root), depth_(depth) {
   if (std::abs(e.y - side_) > kTol * side_ ||
       std::abs(e.z - side_) > kTol * side_)
     throw std::invalid_argument("Hierarchy: root box must be a cube");
-}
-
-std::size_t Hierarchy::flat_index(int level, const BoxCoord& c) const {
-  assert(in_bounds(level, c));
-  const std::size_t n = boxes_per_side(level);
-  return (static_cast<std::size_t>(c.iz) * n + c.iy) * n + c.ix;
-}
-
-BoxCoord Hierarchy::coord_of(int level, std::size_t flat) const {
-  const std::size_t n = boxes_per_side(level);
-  return {static_cast<std::int32_t>(flat % n),
-          static_cast<std::int32_t>((flat / n) % n),
-          static_cast<std::int32_t>(flat / (n * n))};
 }
 
 Vec3 Hierarchy::center(int level, const BoxCoord& c) const {
@@ -44,12 +30,6 @@ BoxCoord Hierarchy::leaf_of(const Vec3& p) const {
   };
   return {clamp_axis(p.x, root_.lo.x), clamp_axis(p.y, root_.lo.y),
           clamp_axis(p.z, root_.lo.z)};
-}
-
-bool Hierarchy::in_bounds(int level, const BoxCoord& c) const {
-  const std::int32_t n = boxes_per_side(level);
-  return c.ix >= 0 && c.ix < n && c.iy >= 0 && c.iy < n && c.iz >= 0 &&
-         c.iz < n;
 }
 
 Box3 cube_containing(const Box3& b, double pad) {

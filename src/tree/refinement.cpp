@@ -1,6 +1,10 @@
 #include "hfmm/tree/refinement.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+
+#include "hfmm/util/thread_pool.hpp"
 
 namespace hfmm::tree {
 
@@ -20,6 +24,7 @@ std::size_t LeafFront::capacity_bytes() const {
                   leaf_flat.capacity() * sizeof(std::uint32_t);
   for (const auto& s : state) b += s.capacity() * sizeof(std::uint8_t);
   for (const auto& s : leaf_id) b += s.capacity() * sizeof(std::int32_t);
+  for (const auto& s : deep) b += s.capacity() * sizeof(std::uint8_t);
   return b;
 }
 
@@ -44,10 +49,19 @@ void build_subtree_counts(const Hierarchy& hier, const ActiveLevels& act,
   }
 }
 
-void build_leaf_front(const Hierarchy& hier, const ActiveLevels& act,
-                      const std::vector<std::vector<std::uint32_t>>& counts,
-                      int ncrit, int min_level, std::span<const Offset> near,
-                      LeafFront& out) {
+namespace {
+
+// Boxes and leaves of a marked front, before the balance ripple. The
+// ripple only splits leaves, so both can only grow from here.
+struct MarkedCounts {
+  std::uint64_t boxes = 0;
+  std::uint64_t leaves = 0;
+};
+
+// The top-down marking of build_leaf_front, without the balance ripple.
+MarkedCounts mark_front(const Hierarchy& hier, const ActiveLevels& act,
+                        const std::vector<std::vector<std::uint32_t>>& counts,
+                        int ncrit, int min_level, LeafFront& out) {
   const int depth = act.depth;
   min_level = std::min(min_level, depth);
   out.depth = depth;
@@ -56,80 +70,101 @@ void build_leaf_front(const Hierarchy& hier, const ActiveLevels& act,
   const std::size_t nlev = static_cast<std::size_t>(depth) + 1;
   ensure_levels(out.state, nlev);
   ensure_levels(out.leaf_id, nlev);
+  ensure_levels(out.deep, nlev);
 
   // Top-down marking: a box is reachable while every ancestor keeps
   // splitting; a reachable box at or below min_level becomes a leaf when
-  // its subtree count fits ncrit or it sits at the depth cap.
+  // its subtree count fits ncrit or it sits at the depth cap. Every
+  // internal box also flags its parent in `deep` (the parent has an
+  // internal child), which the balance ripple reads.
   const std::uint32_t limit =
       ncrit > 0 ? static_cast<std::uint32_t>(ncrit) : 0;
+  MarkedCounts marked;
   for (int l = 0; l <= depth; ++l) {
     const LevelActiveSet& lvl = act.levels[static_cast<std::size_t>(l)];
     auto& st = out.state[static_cast<std::size_t>(l)];
     st.assign(lvl.count(), LeafFront::kBelow);
+    out.deep[static_cast<std::size_t>(l)].assign(lvl.count(), 0);
     const LevelActiveSet* up =
         l > 0 ? &act.levels[static_cast<std::size_t>(l - 1)] : nullptr;
-    const auto* upst =
-        l > 0 ? &out.state[static_cast<std::size_t>(l - 1)] : nullptr;
     for (std::size_t ai = 0; ai < lvl.count(); ++ai) {
-      if (l > min_level) {
+      std::int32_t pai = -1;
+      if (l > 0) {
         const BoxCoord c = hier.coord_of(l, lvl.boxes[ai]);
-        const std::size_t pf = hier.flat_index(l - 1, Hierarchy::parent_of(c));
-        const std::int32_t pai = up->dense_to_active[pf];
-        if ((*upst)[static_cast<std::size_t>(pai)] != LeafFront::kInternal)
+        pai = up->dense_to_active[hier.flat_index(
+            l - 1, Hierarchy::parent_of(c))];
+        if (l > min_level &&
+            out.state[static_cast<std::size_t>(l - 1)]
+                     [static_cast<std::size_t>(pai)] != LeafFront::kInternal)
           continue;  // under a leaf — pruned
       }
-      if (l < min_level) {
-        st[ai] = LeafFront::kInternal;
-      } else if (l == depth ||
-                 counts[static_cast<std::size_t>(l)][ai] <= limit) {
+      ++marked.boxes;
+      if (l >= min_level &&
+          (l == depth || counts[static_cast<std::size_t>(l)][ai] <= limit)) {
         st[ai] = LeafFront::kLeaf;
+        ++marked.leaves;
       } else {
         st[ai] = LeafFront::kInternal;
+        if (pai >= 0)
+          out.deep[static_cast<std::size_t>(l - 1)]
+                  [static_cast<std::size_t>(pai)] = 1;
       }
     }
   }
+  return marked;
+}
 
-  // Balance ripple: while some leaf B at level l has a direct partner A at
-  // level <= l - 2 (a leaf within `near` of B's same-level ancestor), split
-  // A — its active children become leaves one level down. Fixed point in a
-  // few passes since every split strictly deepens the offending leaf.
+// The balance ripple and the canonical leaf enumeration of a front marked
+// by mark_front.
+void balance_front(const Hierarchy& hier, const ActiveLevels& act,
+                   std::span<const Offset> near, LeafFront& out) {
+  const int depth = out.depth;
+  const int min_level = out.min_level;
+
+  // Balance ripple: a leaf A at level la has a direct partner two or more
+  // levels deeper exactly when some box X within `near` of A at level la
+  // has an internal child (an internal box at la + 1 always has leaves at
+  // la + 2 or below). So every flagged X splits the leaves among its near
+  // boxes: the leaf turns internal, its active children become leaves, and
+  // its parent becomes flagged. Levels run deep to shallow so a split's
+  // upward effect lands in the same pass; the new leaves one level down
+  // are checked by the next pass. Every split is forced in any balanced
+  // refinement of the marked front, so the fixed point is the least
+  // balanced refinement, whatever the visiting order.
   bool changed = true;
   while (changed) {
     changed = false;
-    for (int l = depth; l >= min_level + 2; --l) {
-      const LevelActiveSet& lvl = act.levels[static_cast<std::size_t>(l)];
-      const auto& st = out.state[static_cast<std::size_t>(l)];
-      for (std::size_t ai = 0; ai < lvl.count(); ++ai) {
-        if (st[ai] != LeafFront::kLeaf) continue;
-        // anc walks B's ancestor chain; after the first two steps it sits
-        // at level l - 2, then one level up per iteration.
-        BoxCoord anc = Hierarchy::parent_of(hier.coord_of(l, lvl.boxes[ai]));
-        for (int la = l - 2; la >= min_level; --la) {
-          anc = Hierarchy::parent_of(anc);
-          const LevelActiveSet& coarse =
-              act.levels[static_cast<std::size_t>(la)];
-          auto& cst = out.state[static_cast<std::size_t>(la)];
-          for (const Offset& o : near) {
-            const BoxCoord nb{anc.ix + o.dx, anc.iy + o.dy, anc.iz + o.dz};
-            if (!hier.in_bounds(la, nb)) continue;
-            const std::int32_t ci =
-                coarse.dense_to_active[hier.flat_index(la, nb)];
-            if (ci < 0 || cst[static_cast<std::size_t>(ci)] != LeafFront::kLeaf)
-              continue;
-            // Split: the coarse leaf turns internal, its active children
-            // become leaves.
-            cst[static_cast<std::size_t>(ci)] = LeafFront::kInternal;
-            const LevelActiveSet& kids =
-                act.levels[static_cast<std::size_t>(la + 1)];
-            auto& kst = out.state[static_cast<std::size_t>(la + 1)];
-            for (int oc = 0; oc < 8; ++oc) {
-              const BoxCoord kc = Hierarchy::child_of(nb, oc);
-              const std::int32_t ki =
-                  kids.dense_to_active[hier.flat_index(la + 1, kc)];
-              if (ki >= 0) kst[static_cast<std::size_t>(ki)] = LeafFront::kLeaf;
-            }
-            changed = true;
+    for (int la = depth - 2; la >= min_level; --la) {
+      const LevelActiveSet& lvl = act.levels[static_cast<std::size_t>(la)];
+      const LevelActiveSet& kids =
+          act.levels[static_cast<std::size_t>(la + 1)];
+      auto& st = out.state[static_cast<std::size_t>(la)];
+      auto& kst = out.state[static_cast<std::size_t>(la + 1)];
+      const auto& deep = out.deep[static_cast<std::size_t>(la)];
+      for (std::size_t xi = 0; xi < lvl.count(); ++xi) {
+        if (deep[xi] == 0) continue;
+        const BoxCoord x = hier.coord_of(la, lvl.boxes[xi]);
+        for (const Offset& o : near) {
+          const BoxCoord nb{x.ix + o.dx, x.iy + o.dy, x.iz + o.dz};
+          if (!hier.in_bounds(la, nb)) continue;
+          const std::int32_t ai = lvl.dense_to_active[hier.flat_index(la, nb)];
+          if (ai < 0 || st[static_cast<std::size_t>(ai)] != LeafFront::kLeaf)
+            continue;
+          st[static_cast<std::size_t>(ai)] = LeafFront::kInternal;
+          for (int oc = 0; oc < 8; ++oc) {
+            const std::int32_t ki = kids.dense_to_active[hier.flat_index(
+                la + 1, Hierarchy::child_of(nb, oc))];
+            if (ki >= 0) kst[static_cast<std::size_t>(ki)] = LeafFront::kLeaf;
           }
+          if (la > 0) {
+            const LevelActiveSet& up =
+                act.levels[static_cast<std::size_t>(la - 1)];
+            const std::int32_t pai = up.dense_to_active[hier.flat_index(
+                la - 1, Hierarchy::parent_of(nb))];
+            out.deep[static_cast<std::size_t>(la - 1)]
+                    [static_cast<std::size_t>(pai)] = 1;
+          }
+          changed = true;
         }
       }
     }
@@ -153,6 +188,16 @@ void build_leaf_front(const Hierarchy& hier, const ActiveLevels& act,
       out.max_leaf_level = std::max(out.max_leaf_level, l);
     }
   }
+}
+
+}  // namespace
+
+void build_leaf_front(const Hierarchy& hier, const ActiveLevels& act,
+                      const std::vector<std::vector<std::uint32_t>>& counts,
+                      int ncrit, int min_level, std::span<const Offset> near,
+                      LeafFront& out) {
+  mark_front(hier, act, counts, ncrit, min_level, out);
+  balance_front(hier, act, near, out);
 }
 
 void build_front_levels(const Hierarchy& hier, const ActiveLevels& act,
@@ -188,40 +233,84 @@ void build_front_levels(const Hierarchy& hier, const ActiveLevels& act,
   }
 }
 
+double RefinementCostParams::box_ns() const {
+  // Interaction-list length: the children of the parent's near boxes minus
+  // the box's own near boxes, 7 (2d+1)^3 (875 at d = 2); with supernodes
+  // the d = 2 list of tree::supernode_interactive (189 entries).
+  const double side = 2.0 * separation + 1.0;
+  const double list = supernodes ? 189.0 : 7.0 * side * side * side;
+  return (list + 2.0) * kTranslationNsPerEntry * static_cast<double>(k * k);
+}
+
+void apply_cost_model(const RefinementCostParams& params,
+                      RefinementCost& cost) {
+  const RefinementCostParams::NearRates near = params.near_rates();
+  cost.seconds =
+      1e-9 * (static_cast<double>(cost.near_pairs) * near.pair_ns +
+              static_cast<double>(cost.leaf_calls) * near.call_ns +
+              static_cast<double>(cost.tree_boxes) * params.box_ns());
+}
+
 RefinementCost front_cost(const Hierarchy& hier, const ActiveLevels& act,
                           const std::vector<std::vector<std::uint32_t>>& counts,
                           const LeafFront& front, std::span<const Offset> near,
                           std::span<const Offset> near_half,
                           const RefinementCostParams& params) {
+  // The pairs of for_each_near_pair, counted box by box: a leaf counts its
+  // self pairs and its same-level half-list partners; an internal box P
+  // counts, once for all its leaf children, the coarse-fine pairs they own
+  // (their parent-level scan is P's near scan).
   RefinementCost rc;
-  for (int l = 0; l <= front.depth; ++l)
-    for (const std::uint8_t s : front.state[static_cast<std::size_t>(l)])
-      if (s != LeafFront::kBelow) ++rc.tree_boxes;
-  for (std::size_t li = 0; li < front.leaves(); ++li) {
-    const int l = front.leaf_level[li];
-    const std::size_t f = front.leaf_flat[li];
-    const std::int32_t ai =
-        act.levels[static_cast<std::size_t>(l)].dense_to_active[f];
-    const std::uint64_t t =
-        counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(ai)];
-    rc.near_pairs += t * (t - 1) / 2;
+  for (int l = 0; l <= front.depth; ++l) {
+    const auto lu = static_cast<std::size_t>(l);
+    const LevelActiveSet& lvl = act.levels[lu];
+    const auto& st = front.state[lu];
+    const auto& cnt = counts[lu];
+    for (std::size_t ai = 0; ai < lvl.count(); ++ai) {
+      if (st[ai] == LeafFront::kBelow) continue;
+      ++rc.tree_boxes;
+      if (l < front.min_level) continue;
+      const BoxCoord b = hier.coord_of(l, lvl.boxes[ai]);
+      if (st[ai] == LeafFront::kLeaf) {
+        const std::uint64_t t = cnt[ai];
+        rc.near_pairs += t * (t - 1) / 2;
+        ++rc.leaf_calls;
+        for (const Offset& o : near_half) {
+          const BoxCoord nb{b.ix + o.dx, b.iy + o.dy, b.iz + o.dz};
+          if (!hier.in_bounds(l, nb)) continue;
+          const std::int32_t xi = lvl.dense_to_active[hier.flat_index(l, nb)];
+          if (xi < 0 || st[static_cast<std::size_t>(xi)] != LeafFront::kLeaf)
+            continue;
+          rc.near_pairs += t * cnt[static_cast<std::size_t>(xi)];
+          ++rc.leaf_calls;
+        }
+        continue;
+      }
+      // Internal: its leaf children's bodies, then the leaves near it.
+      const LevelActiveSet& kids = act.levels[lu + 1];
+      std::uint64_t kid_bodies = 0, kid_leaves = 0;
+      for (int oc = 0; oc < 8; ++oc) {
+        const std::int32_t ki = kids.dense_to_active[hier.flat_index(
+            l + 1, Hierarchy::child_of(b, oc))];
+        if (ki < 0 || front.state[lu + 1][static_cast<std::size_t>(ki)] !=
+                          LeafFront::kLeaf)
+          continue;
+        kid_bodies += counts[lu + 1][static_cast<std::size_t>(ki)];
+        ++kid_leaves;
+      }
+      if (kid_leaves == 0) continue;
+      for (const Offset& o : near) {
+        const BoxCoord nb{b.ix + o.dx, b.iy + o.dy, b.iz + o.dz};
+        if (!hier.in_bounds(l, nb)) continue;
+        const std::int32_t xi = lvl.dense_to_active[hier.flat_index(l, nb)];
+        if (xi < 0 || st[static_cast<std::size_t>(xi)] != LeafFront::kLeaf)
+          continue;
+        rc.near_pairs += kid_bodies * cnt[static_cast<std::size_t>(xi)];
+        rc.leaf_calls += kid_leaves;
+      }
+    }
   }
-  for_each_near_pair(hier, act, front, near, near_half,
-                     [&](std::size_t li, int sl, std::uint32_t sa) {
-                       const int l = front.leaf_level[li];
-                       const std::size_t f = front.leaf_flat[li];
-                       const std::int32_t ai =
-                           act.levels[static_cast<std::size_t>(l)]
-                               .dense_to_active[f];
-                       const std::uint64_t t =
-                           counts[static_cast<std::size_t>(l)]
-                                 [static_cast<std::size_t>(ai)];
-                       const std::uint64_t s =
-                           counts[static_cast<std::size_t>(sl)][sa];
-                       rc.near_pairs += t * s;
-                     });
-  rc.flops = static_cast<double>(rc.near_pairs) * params.pair_flops +
-             static_cast<double>(rc.tree_boxes) * params.box_flops();
+  apply_cost_model(params, rc);
   return rc;
 }
 
@@ -234,6 +323,7 @@ RefinementCost uniform_cost(const Hierarchy& hier, const ActiveLevels& act,
     rc.tree_boxes += act.levels[static_cast<std::size_t>(l)].count();
   const LevelActiveSet& lvl = act.levels[static_cast<std::size_t>(h)];
   const auto& cnt = counts[static_cast<std::size_t>(h)];
+  rc.leaf_calls = lvl.count();
   for (std::size_t ai = 0; ai < lvl.count(); ++ai) {
     const std::uint64_t t = cnt[ai];
     rc.near_pairs += t * (t - 1) / 2;
@@ -244,10 +334,10 @@ RefinementCost uniform_cost(const Hierarchy& hier, const ActiveLevels& act,
       const std::int32_t si = lvl.dense_to_active[hier.flat_index(h, nb)];
       if (si < 0) continue;
       rc.near_pairs += t * cnt[static_cast<std::size_t>(si)];
+      ++rc.leaf_calls;
     }
   }
-  rc.flops = static_cast<double>(rc.near_pairs) * params.pair_flops +
-             static_cast<double>(rc.tree_boxes) * params.box_flops();
+  apply_cost_model(params, rc);
   return rc;
 }
 
@@ -257,13 +347,13 @@ int select_uniform_depth(const Hierarchy& hier, const ActiveLevels& act,
                          const RefinementCostParams& params, int min_level) {
   min_level = std::min(min_level, act.depth);
   int best = min_level;
-  double best_flops = 0.0;
+  double best_seconds = 0.0;
   for (int h = min_level; h <= act.depth; ++h) {
     const RefinementCost c = uniform_cost(hier, act, counts, h, near_half,
                                           params);
-    if (h == min_level || c.flops < best_flops) {
+    if (h == min_level || c.seconds < best_seconds) {
       best = h;
-      best_flops = c.flops;
+      best_seconds = c.seconds;
     }
   }
   return best;
@@ -275,21 +365,57 @@ int select_ncrit(const Hierarchy& hier, const ActiveLevels& act,
                  std::span<const Offset> near_half,
                  const RefinementCostParams& params,
                  std::span<const int> candidates, int min_level,
+                 std::span<LeafFront> fronts, ThreadPool* pool) {
+  constexpr std::size_t kMaxCandidates = 16;
+  const std::size_t n = candidates.size();
+  if (n == 0) return 32;
+  if (n > kMaxCandidates || fronts.empty())
+    throw std::invalid_argument(
+        "select_ncrit: 1..16 candidates and at least one front");
+  const bool own = fronts.size() >= n;  // one front per candidate
+  const RefinementCostParams::NearRates rates = params.near_rates();
+  // Candidate i's modeled seconds, or its lower bound when that already
+  // exceeds `bound`: the marked front's boxes and leaves before the ripple,
+  // which only adds both, so such a candidate cannot be the minimum.
+  const auto cost = [&](std::size_t i, double bound) {
+    LeafFront& front = own ? fronts[i] : fronts[0];
+    const MarkedCounts marked =
+        mark_front(hier, act, counts, candidates[i], min_level, front);
+    const double lower =
+        1e-9 * (static_cast<double>(marked.boxes) * params.box_ns() +
+                static_cast<double>(marked.leaves) * rates.call_ns);
+    if (lower > bound) return lower;
+    balance_front(hier, act, near, front);
+    return front_cost(hier, act, counts, front, near, near_half, params)
+        .seconds;
+  };
+  // The last (coarsest) candidate first: it is the cheapest to cost and
+  // its time bounds the rest, whose fine fronts are often dismissed right
+  // after marking. Whether a candidate is dismissed depends only on the
+  // two costs, so the pick is the same on any path and worker count.
+  double seconds[kMaxCandidates];
+  seconds[n - 1] = cost(n - 1, std::numeric_limits<double>::infinity());
+  const double bound = seconds[n - 1];
+  if (own && pool != nullptr)
+    pool->parallel_for(0, n - 1,
+                       [&](std::size_t i) { seconds[i] = cost(i, bound); });
+  else
+    for (std::size_t i = 0; i + 1 < n; ++i) seconds[i] = cost(i, bound);
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i)
+    if (seconds[i] < seconds[best]) best = i;
+  return candidates[best];
+}
+
+int select_ncrit(const Hierarchy& hier, const ActiveLevels& act,
+                 const std::vector<std::vector<std::uint32_t>>& counts,
+                 std::span<const Offset> near,
+                 std::span<const Offset> near_half,
+                 const RefinementCostParams& params,
+                 std::span<const int> candidates, int min_level,
                  LeafFront& scratch) {
-  int best = candidates.empty() ? 32 : candidates.front();
-  double best_flops = 0.0;
-  bool first = true;
-  for (const int nc : candidates) {
-    build_leaf_front(hier, act, counts, nc, min_level, near, scratch);
-    const RefinementCost c =
-        front_cost(hier, act, counts, scratch, near, near_half, params);
-    if (first || c.flops < best_flops) {
-      best = nc;
-      best_flops = c.flops;
-      first = false;
-    }
-  }
-  return best;
+  return select_ncrit(hier, act, counts, near, near_half, params, candidates,
+                      min_level, std::span<LeafFront>(&scratch, 1), nullptr);
 }
 
 }  // namespace hfmm::tree

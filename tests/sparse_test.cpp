@@ -20,7 +20,10 @@
 #include "hfmm/util/errors.hpp"
 #include "hfmm/dp/multigrid.hpp"
 #include "hfmm/exec/graph.hpp"
+#include "hfmm/dp/sort.hpp"
 #include "hfmm/tree/active_set.hpp"
+#include "hfmm/tree/interaction_lists.hpp"
+#include "hfmm/tree/refinement.hpp"
 #include "hfmm/util/particles.hpp"
 
 namespace hfmm {
@@ -482,6 +485,48 @@ TEST(AdaptiveSolveTest, MatchesDirectOnClusteredWithFewerNearPairs) {
   EXPECT_LT(na.pairs, ns.pairs);
 }
 
+TEST(AdaptiveSolveTest, ModeledSecondsIsTheFrontCost) {
+  // The solver reports the cost model's time for the front it ran; the
+  // tree API on the same sorted input gives the same front and cost.
+  const ParticleSet p = make_plummer(6000, Box3{}, 19);
+  const core::FmmConfig cfg =
+      sparse_config(core::HierarchyMode::kAdaptive, -1);
+  core::FmmSolver solver(cfg);
+  const core::FmmResult r = solver.solve(p);
+  ASSERT_GT(r.ncrit, 0);
+
+  const int depth = core::depth_for(cfg, p.size());
+  const tree::Hierarchy hier(tree::cube_containing(p.bounds()), depth);
+  const dp::BlockLayout layout(hier.boxes_per_side(depth), {1, 1, 1});
+  dp::BoxedParticles boxed;
+  dp::coordinate_sort(p, hier, layout, boxed);
+  std::vector<std::uint32_t> occupied;
+  for (std::size_t rank = 0; rank + 1 < boxed.box_begin.size(); ++rank)
+    if (boxed.count_in_rank(rank) > 0)
+      occupied.push_back(boxed.rank_to_flat[rank]);
+  tree::ActiveLevels act;
+  tree::build_active_levels(hier, occupied, act);
+  const tree::LevelActiveSet& fine = act.levels[static_cast<std::size_t>(depth)];
+  std::vector<std::uint32_t> leaf_counts(fine.count());
+  for (std::size_t a = 0; a < fine.count(); ++a)
+    leaf_counts[a] = boxed.count_in_rank(boxed.flat_to_rank[fine.boxes[a]]);
+  std::vector<std::vector<std::uint32_t>> counts;
+  tree::build_subtree_counts(hier, act, leaf_counts, counts);
+  const std::vector<tree::Offset> near = tree::near_field_offsets(2);
+  const std::vector<tree::Offset> near_half = tree::near_field_half_offsets(2);
+  tree::RefinementCostParams params;
+  params.k = cfg.params.k();
+  params.supernodes = cfg.supernodes;
+  params.gradient = cfg.with_gradient;
+  tree::LeafFront front;
+  tree::build_leaf_front(hier, act, counts, r.ncrit, 2, near, front);
+  const tree::RefinementCost cost =
+      tree::front_cost(hier, act, counts, front, near, near_half, params);
+  EXPECT_EQ(r.front_leaves, front.leaves());
+  EXPECT_GT(r.modeled_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(r.modeled_seconds, cost.seconds);
+}
+
 TEST(AdaptiveSolveTest, UniformInputMatchesDirect) {
   // A uniform input must not regress: the front collapses to (nearly) one
   // level and accuracy stays at solver tolerance.
@@ -597,18 +642,29 @@ TEST(SparseSolveTest, NearFieldCostImbalanceReported) {
 // EXPERIMENTS.md Table 2 measures for D=5/K=12, and the rms of the
 // per-target relative gradient errors a further digit. Unlike the bitwise
 // suites above, this gates changes to summation order or pair coverage.
+//
+// The adaptive executor also runs at K = 72 (D=14 with the McLaren rule),
+// where translations cost 36x more and the cost model picks a coarser
+// front. The potential keeps the rule: one digit over Table 2's 4.9e-7.
+// The gradient does not: Table 2 lists potentials only, and at K = 72 the
+// gradient error sits 50-80x above the potential error on every hierarchy
+// (dense at depth 4 and 5 on the Plummer input below: 5.6e-5 and 6.0e-5),
+// over the rule's 4.9e-5. Its bound is 1e-4, the measured 6.0e-5 rounded
+// up to the next digit step, which still fails on a dropped or
+// double-counted pair.
 enum class Executor { kDense, kSparse, kAdaptive, kDataParallel, kDist4 };
 
 struct EnvelopeCase {
   Executor exec;
   bool plummer;
+  bool k72 = false;
 };
 
 std::string envelope_label(const EnvelopeCase& c) {
   static const char* const names[] = {"dense", "sparse", "adaptive", "dp",
                                       "dist4"};
   return std::string(names[static_cast<int>(c.exec)]) +
-         (c.plummer ? "_plummer" : "_uniform");
+         (c.k72 ? "_k72" : "") + (c.plummer ? "_plummer" : "_uniform");
 }
 
 // gtest would print the raw bytes of the parameter, padding included, into
@@ -625,6 +681,7 @@ TEST_P(AccuracyEnvelope, RmsErrorWithinTable2Bound) {
                                   : make_uniform(8000, Box3{}, 52);
   core::FmmConfig cfg;
   cfg.with_gradient = true;
+  if (c.k72) cfg.params = anderson::params_d14_k72();
   switch (c.exec) {
     case Executor::kDense: cfg.hierarchy = core::HierarchyMode::kDense; break;
     case Executor::kSparse: cfg.hierarchy = core::HierarchyMode::kSparse; break;
@@ -642,12 +699,14 @@ TEST_P(AccuracyEnvelope, RmsErrorWithinTable2Bound) {
   core::FmmSolver solver(cfg);
   const core::FmmResult r = solver.solve(p);
   const baseline::DirectResult d = baseline::direct_all(p, true);
-  EXPECT_LE(compare_fields(r.phi, d.phi).rms_rel, 2.2e-3);
+  const double phi_bound = c.k72 ? 4.9e-6 : 2.2e-3;
+  const double grad_bound = c.k72 ? 1e-4 : 2.2e-2;
+  EXPECT_LE(compare_fields(r.phi, d.phi).rms_rel, phi_bound);
   ASSERT_EQ(r.grad.size(), d.grad.size());
   double sum = 0.0;
   for (std::size_t i = 0; i < d.grad.size(); ++i)
     sum += (r.grad[i] - d.grad[i]).norm2() / d.grad[i].norm2();
-  EXPECT_LE(std::sqrt(sum / static_cast<double>(d.grad.size())), 2.2e-2);
+  EXPECT_LE(std::sqrt(sum / static_cast<double>(d.grad.size())), grad_bound);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -661,7 +720,9 @@ INSTANTIATE_TEST_SUITE_P(
                       EnvelopeCase{Executor::kDataParallel, false},
                       EnvelopeCase{Executor::kDataParallel, true},
                       EnvelopeCase{Executor::kDist4, false},
-                      EnvelopeCase{Executor::kDist4, true}),
+                      EnvelopeCase{Executor::kDist4, true},
+                      EnvelopeCase{Executor::kAdaptive, false, true},
+                      EnvelopeCase{Executor::kAdaptive, true, true}),
     [](const ::testing::TestParamInfo<EnvelopeCase>& i) {
       return envelope_label(i.param);
     });

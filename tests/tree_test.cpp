@@ -6,16 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "hfmm/core/solver.hpp"
 #include "hfmm/tree/active_set.hpp"
 #include "hfmm/tree/hierarchy.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
 #include "hfmm/tree/refinement.hpp"
+#include "hfmm/util/particles.hpp"
+#include "hfmm/util/thread_pool.hpp"
 
 namespace hfmm::tree {
 namespace {
@@ -260,8 +264,10 @@ struct RefineFixture {
 };
 
 RefineFixture make_refine_fixture(
-    int depth, const std::map<std::uint32_t, std::uint32_t>& occupancy) {
-  RefineFixture f{unit_hierarchy(depth), {}, {}, {}};
+    const Hierarchy& hier,
+    const std::map<std::uint32_t, std::uint32_t>& occupancy) {
+  const int depth = hier.depth();
+  RefineFixture f{hier, {}, {}, {}};
   std::vector<std::uint32_t> occ;
   occ.reserve(occupancy.size());
   for (const auto& [flat, n] : occupancy) occ.push_back(flat);
@@ -273,6 +279,11 @@ RefineFixture make_refine_fixture(
     f.leaf_counts[i] = occupancy.at(lv[i]);
   build_subtree_counts(f.hier, f.act, f.leaf_counts, f.counts);
   return f;
+}
+
+RefineFixture make_refine_fixture(
+    int depth, const std::map<std::uint32_t, std::uint32_t>& occupancy) {
+  return make_refine_fixture(unit_hierarchy(depth), occupancy);
 }
 
 RefineFixture make_uniform_fixture(int depth, std::uint32_t per_leaf) {
@@ -296,6 +307,21 @@ RefineFixture make_clustered_fixture(int depth, std::uint32_t core_per_leaf) {
   for (int i = side / 2; i < side; i += 2)
     occ[hier.flat_index(depth, {i, i, i})] = 1;
   return make_refine_fixture(depth, occ);
+}
+
+// The tree the adaptive executor builds for the hfmm_bench `plummer`
+// workload: make_plummer(64000, seed 1) sorted at the refinement cap depth.
+RefineFixture make_plummer_fixture() {
+  const ParticleSet p = make_plummer(64000, Box3{}, 1);
+  core::FmmConfig cfg;
+  cfg.hierarchy = core::HierarchyMode::kAdaptive;
+  const Hierarchy hier(cube_containing(p.bounds()),
+                       core::depth_for(cfg, p.size()));
+  std::map<std::uint32_t, std::uint32_t> occ;
+  for (std::size_t i = 0; i < p.size(); ++i)
+    ++occ[static_cast<std::uint32_t>(
+        hier.flat_index(hier.depth(), hier.leaf_of(p.position(i))))];
+  return make_refine_fixture(hier, occ);
 }
 
 LeafFront mark_front(const RefineFixture& f, int ncrit) {
@@ -422,18 +448,30 @@ TEST(RefinementTest, NearPairsCoverEveryAdjacencyExactlyOnce) {
 }
 
 TEST(RefinementTest, CostSelectorAgreesWithOptimalDepthOnUniform) {
-  // On uniform inputs the exact-pair cost model reduces to an occupancy
-  // rule: it picks the level where mean occupancy crosses its break-even
-  // (~4 bodies per leaf for k = 12 with supernodes, where pair flops and
-  // translation flops balance) — exactly optimal_depth with that constant.
+  // On uniform inputs the cost model reduces to an occupancy rule. An
+  // interior leaf holding m bodies carries ~62.5 m^2 near pairs (m^2 / 2
+  // self pairs plus m^2 per each of its 62 half-list neighbours) and 63
+  // kernel calls. Splitting it into 8 leaves of m / 8 removes 7/8 of those
+  // pairs and adds 8 * 63 - 63 = 441 calls and 8 boxes, so it pays exactly
+  // when
+  //   (7/8) * 62.5 * m^2 * pair_ns > 441 * call_ns + 8 * box_ns,
+  // i.e. above the break-even m* (~34 bodies with the fitted gradient
+  // rates and the supernode box cost, k = 12). The cost model therefore
+  // refines while a leaf holds more than m*, and stops at the first level
+  // whose mean occupancy m satisfies m* / 8 < m <= m* — the level
+  // optimal_depth(n, m* / 8) returns (~4.2 bodies per leaf).
   RefinementCostParams params;
+  const RefinementCostParams::NearRates rates = params.near_rates();
+  const double m_star =
+      std::sqrt((441.0 * rates.call_ns + 8.0 * params.box_ns()) /
+                (7.0 / 8.0 * 62.5 * rates.pair_ns));
   const std::vector<Offset> near_half = near_field_half_offsets(2);
   for (const std::uint32_t per_leaf : {4u, 8u}) {
     const RefineFixture f = make_uniform_fixture(4, per_leaf);
     const std::size_t n = per_leaf * 4096;
     const int by_cost =
         select_uniform_depth(f.hier, f.act, f.counts, near_half, params);
-    EXPECT_EQ(by_cost, optimal_depth(n, 4.0)) << per_leaf;
+    EXPECT_EQ(by_cost, optimal_depth(n, m_star / 8.0)) << per_leaf;
   }
 }
 
@@ -452,7 +490,11 @@ TEST(RefinementTest, CostSelectorDivergesFromOccupancyOnClustered) {
 }
 
 TEST(RefinementTest, AdaptiveFrontBeatsUniformOnClustered) {
-  const RefineFixture f = make_clustered_fixture(4, 24);
+  // Depth 5: the core spans 8 leaves per side, wider than the d = 2 near
+  // field, so refining it removes pairs. (At depth 4 the core is 4 leaves
+  // wide and every core pair stays direct at any cut; the best uniform cut
+  // there is the unrefined level 2, which no ladder rung <= 128 reaches.)
+  const RefineFixture f = make_clustered_fixture(5, 24);
   RefinementCostParams params;
   const std::vector<Offset> near = near_field_offsets(2);
   const std::vector<Offset> near_half = near_field_half_offsets(2);
@@ -469,13 +511,234 @@ TEST(RefinementTest, AdaptiveFrontBeatsUniformOnClustered) {
                                      params);
   const RefinementCost uniform =
       uniform_cost(f.hier, f.act, f.counts, h, near_half, params);
-  // The whole point of the ncrit front: strictly fewer modeled flops than
+  // The whole point of the ncrit front: strictly less modeled time than
   // the best uniform cut — here by carrying far fewer expansion boxes —
   // with the near-pair count essentially unchanged (coarse background
   // leaves may pick up a handful of extra adjacencies).
-  EXPECT_LT(adaptive.flops, uniform.flops);
+  EXPECT_LT(adaptive.seconds, uniform.seconds);
   EXPECT_LT(adaptive.tree_boxes, uniform.tree_boxes);
   EXPECT_LE(adaptive.near_pairs, uniform.near_pairs + uniform.near_pairs / 50);
+}
+
+// The balance ripple as it was first written: every leaf B walks its
+// ancestor chain and splits any leaf within `near` of each ancestor two or
+// more levels up — O(levels x 125) lookups per leaf per pass. Kept as the
+// reference that build_leaf_front's neighbour-flag ripple must reproduce.
+LeafFront reference_front(const RefineFixture& f, int ncrit) {
+  const Hierarchy& hier = f.hier;
+  const ActiveLevels& act = f.act;
+  const std::vector<Offset> near = near_field_offsets(2);
+  const int depth = act.depth;
+  const int min_level = std::min(2, depth);
+  LeafFront out;
+  out.depth = depth;
+  out.min_level = min_level;
+  out.ncrit = ncrit;
+  out.state.resize(static_cast<std::size_t>(depth) + 1);
+  const auto limit = static_cast<std::uint32_t>(ncrit);
+  for (int l = 0; l <= depth; ++l) {
+    const LevelActiveSet& lvl = act.levels[static_cast<std::size_t>(l)];
+    auto& st = out.state[static_cast<std::size_t>(l)];
+    st.assign(lvl.count(), LeafFront::kBelow);
+    for (std::size_t ai = 0; ai < lvl.count(); ++ai) {
+      if (l > min_level) {
+        const BoxCoord c = hier.coord_of(l, lvl.boxes[ai]);
+        const std::int32_t pai =
+            act.levels[static_cast<std::size_t>(l - 1)].dense_to_active
+                [hier.flat_index(l - 1, Hierarchy::parent_of(c))];
+        if (out.state[static_cast<std::size_t>(l - 1)]
+                     [static_cast<std::size_t>(pai)] != LeafFront::kInternal)
+          continue;
+      }
+      if (l < min_level)
+        st[ai] = LeafFront::kInternal;
+      else if (l == depth || f.counts[static_cast<std::size_t>(l)][ai] <= limit)
+        st[ai] = LeafFront::kLeaf;
+      else
+        st[ai] = LeafFront::kInternal;
+    }
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int l = depth; l >= min_level + 2; --l) {
+      const LevelActiveSet& lvl = act.levels[static_cast<std::size_t>(l)];
+      for (std::size_t ai = 0; ai < lvl.count(); ++ai) {
+        if (out.state[static_cast<std::size_t>(l)][ai] != LeafFront::kLeaf)
+          continue;
+        BoxCoord anc = Hierarchy::parent_of(hier.coord_of(l, lvl.boxes[ai]));
+        for (int la = l - 2; la >= min_level; --la) {
+          anc = Hierarchy::parent_of(anc);
+          const LevelActiveSet& coarse =
+              act.levels[static_cast<std::size_t>(la)];
+          auto& cst = out.state[static_cast<std::size_t>(la)];
+          for (const Offset& o : near) {
+            const BoxCoord nb{anc.ix + o.dx, anc.iy + o.dy, anc.iz + o.dz};
+            if (!hier.in_bounds(la, nb)) continue;
+            const std::int32_t ci =
+                coarse.dense_to_active[hier.flat_index(la, nb)];
+            if (ci < 0 || cst[static_cast<std::size_t>(ci)] != LeafFront::kLeaf)
+              continue;
+            cst[static_cast<std::size_t>(ci)] = LeafFront::kInternal;
+            const LevelActiveSet& kids =
+                act.levels[static_cast<std::size_t>(la + 1)];
+            for (int oc = 0; oc < 8; ++oc) {
+              const std::int32_t ki = kids.dense_to_active[hier.flat_index(
+                  la + 1, Hierarchy::child_of(nb, oc))];
+              if (ki >= 0)
+                out.state[static_cast<std::size_t>(la + 1)]
+                         [static_cast<std::size_t>(ki)] = LeafFront::kLeaf;
+            }
+            changed = true;
+          }
+        }
+      }
+    }
+  }
+  for (int l = 0; l <= depth; ++l) {
+    const LevelActiveSet& lvl = act.levels[static_cast<std::size_t>(l)];
+    for (std::size_t ai = 0; ai < lvl.count(); ++ai) {
+      if (out.state[static_cast<std::size_t>(l)][ai] != LeafFront::kLeaf)
+        continue;
+      out.leaf_level.push_back(l);
+      out.leaf_flat.push_back(lvl.boxes[ai]);
+    }
+  }
+  return out;
+}
+
+TEST(RefinementTest, RippleMatchesReferenceFronts) {
+  std::vector<std::pair<const char*, RefineFixture>> fixtures;
+  fixtures.emplace_back("clustered(4,12)", make_clustered_fixture(4, 12));
+  fixtures.emplace_back("clustered(4,24)", make_clustered_fixture(4, 24));
+  fixtures.emplace_back("clustered(5,24)", make_clustered_fixture(5, 24));
+  fixtures.emplace_back("clustered(5,60)", make_clustered_fixture(5, 60));
+  fixtures.emplace_back("uniform(4,8)", make_uniform_fixture(4, 8));
+  fixtures.emplace_back("plummer64k", make_plummer_fixture());
+  for (const auto& [name, f] : fixtures) {
+    for (const int ncrit : {8, 16, 32, 64, 128}) {
+      const LeafFront want = reference_front(f, ncrit);
+      const LeafFront got = mark_front(f, ncrit);
+      for (int l = 0; l <= f.act.depth; ++l)
+        EXPECT_EQ(got.state[static_cast<std::size_t>(l)],
+                  want.state[static_cast<std::size_t>(l)])
+            << name << " ncrit " << ncrit << " level " << l;
+      EXPECT_EQ(got.leaf_level, want.leaf_level) << name << " ncrit " << ncrit;
+      EXPECT_EQ(got.leaf_flat, want.leaf_flat) << name << " ncrit " << ncrit;
+    }
+  }
+}
+
+// front_cost counts the pairs box by box; for_each_near_pair enumerates
+// them leaf by leaf for the solver's plan. Both must see the same U list.
+TEST(RefinementTest, FrontCostCountsTheNearPairPlan) {
+  std::vector<std::pair<const char*, RefineFixture>> fixtures;
+  fixtures.emplace_back("clustered(4,12)", make_clustered_fixture(4, 12));
+  fixtures.emplace_back("clustered(5,60)", make_clustered_fixture(5, 60));
+  fixtures.emplace_back("uniform(4,8)", make_uniform_fixture(4, 8));
+  fixtures.emplace_back("plummer64k", make_plummer_fixture());
+  const std::vector<Offset> near = near_field_offsets(2);
+  const std::vector<Offset> near_half = near_field_half_offsets(2);
+  const RefinementCostParams params;
+  for (const auto& [name, f] : fixtures) {
+    for (const int ncrit : {8, 32, 128}) {
+      const LeafFront front = mark_front(f, ncrit);
+      const auto bodies = [&](int l, std::size_t ai) -> std::uint64_t {
+        return f.counts[static_cast<std::size_t>(l)][ai];
+      };
+      std::uint64_t pairs = 0, calls = front.leaves();
+      for (std::size_t li = 0; li < front.leaves(); ++li) {
+        const int l = front.leaf_level[li];
+        const std::uint64_t t = bodies(
+            l, static_cast<std::size_t>(
+                   f.act.levels[static_cast<std::size_t>(l)]
+                       .dense_to_active[front.leaf_flat[li]]));
+        pairs += t * (t - 1) / 2;
+      }
+      for_each_near_pair(
+          f.hier, f.act, front, near, near_half,
+          [&](std::size_t li, int sl, std::uint32_t sa) {
+            const int l = front.leaf_level[li];
+            pairs += bodies(l, static_cast<std::size_t>(
+                                   f.act.levels[static_cast<std::size_t>(l)]
+                                       .dense_to_active[front.leaf_flat[li]])) *
+                     bodies(sl, sa);
+            ++calls;
+          });
+      std::uint64_t boxes = 0;
+      for (const auto& st : front.state)
+        for (const std::uint8_t s : st) boxes += s != LeafFront::kBelow;
+      const RefinementCost c =
+          front_cost(f.hier, f.act, f.counts, front, near, near_half, params);
+      EXPECT_EQ(c.near_pairs, pairs) << name << " ncrit " << ncrit;
+      EXPECT_EQ(c.leaf_calls, calls) << name << " ncrit " << ncrit;
+      EXPECT_EQ(c.tree_boxes, boxes) << name << " ncrit " << ncrit;
+    }
+  }
+}
+
+TEST(RefinementTest, PickIndependentOfPool) {
+  // The pool path marks rung i into fronts[i] on any worker; the pick and
+  // the winner's front match the one-at-a-time path.
+  const RefineFixture f = make_plummer_fixture();
+  const std::vector<Offset> near = near_field_offsets(2);
+  const std::vector<Offset> near_half = near_field_half_offsets(2);
+  const std::vector<int> ladder{8, 16, 32, 64, 128};
+  for (const bool supernodes : {false, true}) {
+    RefinementCostParams params;
+    params.supernodes = supernodes;
+    LeafFront scratch;
+    const int seq = select_ncrit(f.hier, f.act, f.counts, near, near_half,
+                                 params, ladder, 2, scratch);
+    for (const std::size_t workers : {1u, 3u}) {
+      ThreadPool pool(workers);
+      std::vector<LeafFront> fronts(ladder.size());
+      const int par = select_ncrit(f.hier, f.act, f.counts, near, near_half,
+                                   params, ladder, 2, fronts, &pool);
+      EXPECT_EQ(par, seq) << workers;
+      const std::size_t won = static_cast<std::size_t>(
+          std::find(ladder.begin(), ladder.end(), par) - ladder.begin());
+      const LeafFront want = mark_front(f, par);
+      EXPECT_EQ(fronts[won].leaf_flat, want.leaf_flat) << workers;
+      EXPECT_EQ(fronts[won].leaf_level, want.leaf_level) << workers;
+    }
+  }
+}
+
+TEST(RefinementTest, ModelPicksCoarseFrontOnPlummer) {
+  // The hfmm_bench `plummer` config: k = 12, gradient on, no supernodes.
+  // Forced-ncrit solves of this input measure 32, 64 and 128 within 10% of
+  // the best rung, and 8 (the old flop model's pick) at 1.6-2.4x.
+  const RefineFixture f = make_plummer_fixture();
+  RefinementCostParams params;
+  params.k = 12;
+  params.supernodes = false;
+  params.gradient = true;
+  const std::vector<Offset> near = near_field_offsets(2);
+  const std::vector<Offset> near_half = near_field_half_offsets(2);
+  const std::vector<int> ladder{8, 16, 32, 64, 128};
+  LeafFront scratch;
+  const int ncrit = select_ncrit(f.hier, f.act, f.counts, near, near_half,
+                                 params, ladder, 2, scratch);
+  EXPECT_TRUE(ncrit == 32 || ncrit == 64 || ncrit == 128) << ncrit;
+}
+
+TEST(RefinementTest, BoxCostUsesTheRealInteractionListLength) {
+  RefinementCostParams params;
+  const double per_translation =
+      RefinementCostParams::kTranslationNsPerEntry * 144.0;
+  for (int octant = 0; octant < 8; ++octant) {
+    params.supernodes = true;
+    EXPECT_DOUBLE_EQ(
+        params.box_ns(),
+        static_cast<double>(supernode_interactive(octant, 2).size() + 2) *
+            per_translation);
+    params.supernodes = false;
+    EXPECT_DOUBLE_EQ(
+        params.box_ns(),
+        static_cast<double>(interactive_offsets(octant, 2).size() + 2) *
+            per_translation);
+  }
 }
 
 TEST(RefinementTest, WarmRemarkNoHeapGrowth) {
