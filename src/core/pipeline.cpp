@@ -135,8 +135,11 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
   const NodeId near = g.add_weighted(
       "near", "near", stages.near_cost, nf_chunks,
       [&](std::size_t c, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        const NearFieldResult nf =
-            stages.near(ws.near_scratch.chunks[c], lo, hi);
+        NearFieldScratch::Chunk& ch = ws.near_scratch.chunks[c];
+        const std::size_t cap_before = ch.capacity_bytes();
+        const NearFieldResult nf = stages.near(ch, lo, hi);
+        if (ch.capacity_bytes() != cap_before)
+          ws.allocs.fetch_add(1, std::memory_order_relaxed);
         st.flops += nf.flops;
         st.pairs += nf.pair_interactions;
       },
@@ -144,10 +147,10 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
   g.depend(near, sort);
   g.depend(near, prep_out);
 
-  // Accumulate: add the near-field chunks (in chunk-index == leaf-range
-  // order, for reproducibility) onto the far-field result and — unless a
-  // SolveView streams the sorted buffers out directly — un-sort to the
-  // original particle order.
+  // Accumulate: add the near-field chunk windows (in chunk-index order, for
+  // reproducibility) onto the far-field result and — unless a SolveView
+  // streams the sorted buffers out directly — un-sort to the original
+  // particle order.
   const NodeId acc = g.add(
       "accumulate", "accumulate", n, 0,
       [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats&) {

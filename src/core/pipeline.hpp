@@ -45,7 +45,9 @@ struct PipelineStages {
   std::size_t leaves = 0;
   std::span<const std::uint64_t> leaf_cost;
   // Near-field cost of each near item (its pair count); the near stage
-  // runs over [0, near_cost.size()) split by these weights.
+  // runs over [0, near_cost.size()) split by these weights. Items are leaves
+  // in sorted-particle (Morton) order, so each chunk's write window is a
+  // compact set of particle ranges.
   std::span<const std::uint64_t> near_cost;
   // Sizes the far/local level stores (runs only for far-field kernels).
   std::function<void()> prepare_levels;
@@ -54,7 +56,8 @@ struct PipelineStages {
   // Dense non-supernode T2 only: fills the shared zero-padded source grid
   // before each level's interactive stage. Empty body = no pad stages.
   LevelStage pad;
-  // Near field over leaf items [lo, hi) into the chunk's scratch slot.
+  // Near field over leaf items [lo, hi) into the chunk's scratch slot (its
+  // write window); a grown window counts as a workspace allocation.
   std::function<NearFieldResult(NearFieldScratch::Chunk& ch, std::size_t lo,
                                 std::size_t hi)>
       near;

@@ -61,6 +61,7 @@ namespace internal {
 struct DistState {
   std::vector<std::unique_ptr<SolveWorkspace>> ws;
   std::vector<std::uint32_t> leaf_count;  // particles per global active leaf
+  std::vector<std::uint64_t> near_cost;   // near pairs per global active leaf
   tree::OwnershipLevels own;
 };
 
@@ -342,14 +343,19 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   dist::Partition part;
   {
     ScopedPhaseTimer timer(result.breakdown["let"]);
+    // The partitioner splits active leaves in flat order; the cost model
+    // keeps near costs in the near stage's Morton order.
     internal::grow(ds.leaf_count, nl, gws.allocs);
-    for (std::size_t ai = 0; ai < nl; ++ai)
+    internal::grow(ds.near_cost, nl, gws.allocs);
+    for (std::size_t ai = 0; ai < nl; ++ai) {
       ds.leaf_count[ai] = static_cast<std::uint32_t>(gws.leaf_cost[ai]);
+      ds.near_cost[ai] = gws.near_cost[gws.near_pos[ai]];
+    }
     part = dist::partition_leaves(
         config_.dist_partitioner == DistPartitioner::kBodies
             ? dist::Partitioner::kBodies
             : dist::Partitioner::kCost,
-        config_.dist_ranks, gws.leaf_cost, gws.near_cost, ds.leaf_count);
+        config_.dist_ranks, gws.leaf_cost, ds.near_cost, ds.leaf_count);
     tree::build_ownership(hier, act, part.leaf_begin, ds.own);
     dist::LetBuilder builder(act, ds.own);
     walk_requirements(config_, plan, hier, act, ds.own, periodic, far_capable,

@@ -98,8 +98,8 @@ void internal::update_active_costs(const FmmConfig& config,
     return true;
   };
   // Cost entries for one active leaf (leaf = its particle count, near =
-  // its near-field pair count) — the full build and the per-step patch
-  // apply the identical formula.
+  // its near-field pair count, stored at the leaf's Morton position) — the
+  // full build and the per-step patch apply the identical formula.
   const auto cost_at = [&](std::size_t ai) {
     const std::size_t f = leaves.boxes[ai];
     const tree::BoxCoord c = hier.coord_of(h, f);
@@ -112,7 +112,7 @@ void internal::update_active_costs(const FmmConfig& config,
       if (!on_grid(nb)) continue;
       pairs += t * particles_in(ws.boxed, hier.flat_index(h, nb));
     }
-    ws.near_cost[ai] = pairs;
+    ws.near_cost[ws.near_pos[ai]] = pairs;
   };
   if (structures_ok && ws.step.cost_valid) {
     if (!ws.step.cur_counts_changed) {
@@ -150,6 +150,10 @@ void internal::update_active_costs(const FmmConfig& config,
   } else {
     internal::grow(ws.leaf_cost, nl, ws.allocs);
     internal::grow(ws.near_cost, nl, ws.allocs);
+    internal::grow(ws.near_pos, nl, ws.allocs);
+    for (std::size_t j = 0; j < nl; ++j)
+      ws.near_pos[leaves.dense_to_active[ws.occupied[j]]] =
+          static_cast<std::uint32_t>(j);
     for (std::size_t ai = 0; ai < nl; ++ai) cost_at(ai);
   }
   const tree::ActiveLevels& act = ws.active;

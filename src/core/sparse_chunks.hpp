@@ -301,15 +301,15 @@ inline void set_active_level_stages(ActiveContext& ctx, PipelineStages& st) {
   st.level_boxes = count;
 }
 
-// Near stage of the uniform-leaf executors (dense and sparse): the active
-// leaves of the leaf level, split by their pair counts (ws.near_cost, from
-// update_active_costs).
+// Near stage of the uniform-leaf executors (dense and sparse): the occupied
+// leaves in sort-rank (Morton) order, so each chunk is a spatially compact
+// run of leaves with a compact write window, split by their pair counts
+// (ws.near_cost, from update_active_costs, in the same order).
 inline void set_active_near_stage(ActiveContext& ctx, const NearKernel& kern,
                                   PipelineStages& st) {
   const std::span<const tree::Offset> offsets =
       ctx.plan.near_list(ctx.config.near_symmetry);
-  const std::span<const std::uint32_t> leaves{
-      ctx.act.levels[ctx.hier.depth()].boxes};
+  const std::span<const std::uint32_t> leaves{ctx.ws.occupied};
   st.near_cost = ctx.ws.near_cost;
   st.near = [&ctx, &kern, offsets, leaves](NearFieldScratch::Chunk& ch,
                                            std::size_t lo, std::size_t hi) {
