@@ -25,6 +25,7 @@
 //       { "input": "plummer", "n":.., "mode": "sequential", "ncrit":..,
 //         "pick":.., "model_seconds":.., "warm_seconds":..,
 //         "warm_min_seconds":.., "warm_max_seconds":.., "active_seconds":..,
+//         "far_seconds":.., "far_model_seconds":..,
 //         "near_pairs":.., "front_leaves":.., "active_boxes":.. }, ... ],
 //       "picks": [ { "input":.., "n":.., "mode":.., "pick":..,
 //         "pick_seconds":.., "pick_rung_seconds":..,
@@ -34,17 +35,20 @@
 // the best-of-3 warm solve on the reused plan/workspace.
 //
 // --dist {uniform,plummer,two-clusters} selects the particle distribution
-// for the headline configs; a pinned Plummer N=100k dense/sparse/adaptive
-// triple at depth 4 and 5 always runs so the sparse hierarchy's cold/warm
-// cost, workspace footprint and the adaptive front's near-field pair count
-// are diffable against the dense path.
+// for the headline configs; pinned Plummer N=100k uniform-leaf rows at
+// depth 4 and 5 and an adaptive row always run, so the active-set
+// hierarchy's cold/warm cost, workspace footprint and the adaptive front's
+// near-field pair count are diffable across runs.
 //
 // The ncrit sweep solves adaptive Plummer (N = 0.64n and n) and uniform
 // (N = n and 2n) inputs — the hfmm_bench `plummer` config: K = 12, gradient
 // on, no supernodes — once per forced ladder rung (8..128) and once with
 // the cost-model pick (ncrit 0), sequential and threaded, and writes each
 // row's warm median beside the model's time for that front, so the model's
-// error and its pick against the best rung are both visible.
+// error and its pick against the best rung are both visible. far_seconds
+// is the median time of the translation phases (upward, interactive,
+// downward), far_model_seconds the model's translation term for the same
+// front (active boxes times RefinementCostParams::box_ns).
 
 #include <algorithm>
 #include <cstring>
@@ -56,6 +60,7 @@
 #include "bench_common.hpp"
 #include "hfmm/core/integrator.hpp"
 #include "hfmm/core/solver.hpp"
+#include "hfmm/tree/refinement.hpp"
 #include "hfmm/util/particles.hpp"
 
 using namespace hfmm;
@@ -282,10 +287,10 @@ struct SweepRow {
   int ncrit = 0;  // forced rung, 0 = the cost-model pick
   int pick = 0;   // the ncrit the front was refined with
   double model = 0.0, warm = 0.0, warm_min = 0.0, warm_max = 0.0;
-  double active = 0.0;
+  double active = 0.0, far = 0.0;
   std::uint64_t near_pairs = 0;
   std::size_t leaves = 0, boxes = 0;
-  std::vector<double> warm_samples, active_samples;
+  std::vector<double> warm_samples, active_samples, far_samples;
 };
 
 void sweep_round(const ParticleSet& p, core::ExecutionMode mode,
@@ -303,7 +308,11 @@ void sweep_round(const ParticleSet& p, core::ExecutionMode mode,
     WallTimer t;
     const core::FmmResult r = solver.solve(p);
     row.warm_samples.push_back(t.seconds());
-    row.active_samples.push_back(r.breakdown.phases().at("active").seconds);
+    const auto& phases = r.breakdown.phases();
+    row.active_samples.push_back(phases.at("active").seconds);
+    row.far_samples.push_back(phases.at("upward").seconds +
+                              phases.at("interactive").seconds +
+                              phases.at("downward").seconds);
     row.pick = r.ncrit;
     row.model = r.modeled_seconds;
     row.near_pairs = r.breakdown.phases().at("near").pairs;
@@ -315,10 +324,12 @@ void sweep_round(const ParticleSet& p, core::ExecutionMode mode,
 void finish_row(SweepRow& row) {
   std::sort(row.warm_samples.begin(), row.warm_samples.end());
   std::sort(row.active_samples.begin(), row.active_samples.end());
+  std::sort(row.far_samples.begin(), row.far_samples.end());
   row.warm = row.warm_samples[kSweepReps / 2];
   row.warm_min = row.warm_samples.front();
   row.warm_max = row.warm_samples.back();
   row.active = row.active_samples[kSweepReps / 2];
+  row.far = row.far_samples[kSweepReps / 2];
 }
 
 void ncrit_sweep(std::size_t n, std::FILE* json) {
@@ -333,6 +344,11 @@ void ncrit_sweep(std::size_t n, std::FILE* json) {
                           {"uniform", n},
                           {"uniform", 2 * n}};
   static constexpr int kRungs[] = {8, 16, 32, 64, 128, 0};
+  // The model's translation term for the sweep's config.
+  tree::RefinementCostParams cost;
+  cost.k = core::FmmConfig{}.params.k();
+  cost.supernodes = false;
+  cost.gradient = true;
   if (json != nullptr)
     std::fprintf(json,
                  ",\n  \"ncrit_sweep\": { \"nproc\": %u, \"rounds\": %d, "
@@ -349,7 +365,8 @@ void ncrit_sweep(std::size_t n, std::FILE* json) {
           mode == core::ExecutionMode::kSequential ? "sequential" : "threads";
       std::printf("\n%s N = %zu, %s\n", in.name, in.n, mode_name);
       Table table({"ncrit", "pick", "model (s)", "warm (s)", "warm/model",
-                   "active (s)", "near pairs", "leaves", "boxes"});
+                   "active (s)", "far (s)", "far/model", "near pairs",
+                   "leaves", "boxes"});
       std::vector<SweepRow> rows(std::size(kRungs));
       for (std::size_t i = 0; i < rows.size(); ++i) rows[i].ncrit = kRungs[i];
       for (int round = 0; round < kSweepRounds; ++round)
@@ -357,12 +374,15 @@ void ncrit_sweep(std::size_t n, std::FILE* json) {
       for (SweepRow& r : rows) {
         finish_row(r);
         const int rung = r.ncrit;
+        const double far_model =
+            1e-9 * static_cast<double>(r.boxes) * cost.box_ns();
         table.row({rung == 0 ? std::string("model")
                              : Table::num(static_cast<std::uint64_t>(rung)),
                    Table::num(static_cast<std::uint64_t>(r.pick)),
                    Table::num(r.model, 3),
                    Table::num(r.warm, 3), Table::num(r.warm / r.model, 3),
-                   Table::num(r.active, 3), Table::num(r.near_pairs),
+                   Table::num(r.active, 3), Table::num(r.far, 3),
+                   Table::num(r.far / far_model, 3), Table::num(r.near_pairs),
                    Table::num(r.leaves), Table::num(r.boxes)});
         if (json != nullptr) {
           std::fprintf(
@@ -371,12 +391,13 @@ void ncrit_sweep(std::size_t n, std::FILE* json) {
               "\"%s\", \"ncrit\": %d, \"pick\": %d, "
               "\"model_seconds\": %.6f, \"warm_seconds\": %.6f, "
               "\"warm_min_seconds\": %.6f, \"warm_max_seconds\": %.6f, "
-              "\"active_seconds\": %.6f, \"near_pairs\": %llu, "
+              "\"active_seconds\": %.6f, \"far_seconds\": %.6f, "
+              "\"far_model_seconds\": %.6f, \"near_pairs\": %llu, "
               "\"front_leaves\": %zu, \"active_boxes\": %zu }",
               first_row ? "" : ",", in.name, in.n, mode_name, rung, r.pick,
-              r.model, r.warm, r.warm_min, r.warm_max, r.active,
-              static_cast<unsigned long long>(r.near_pairs), r.leaves,
-              r.boxes);
+              r.model, r.warm, r.warm_min, r.warm_max, r.active, r.far,
+              far_model, static_cast<unsigned long long>(r.near_pairs),
+              r.leaves, r.boxes);
           first_row = false;
         }
       }
@@ -455,36 +476,22 @@ int main(int argc, char** argv) {
   run("D=5 / K=12, simulated 8-VU machine", "d5_k12_dp",
       anderson::params_d5_k12(), n / 2, true, json, false, opts);
 
-  // Pinned dense-vs-sparse pair on a clustered (Plummer) distribution: the
-  // sparse active-box hierarchy's headline comparison, at depth 4 (near-
-  // field dominated at N=100k) and depth 5 (translation dominated).
-  std::printf(
-      "\n==== clustered dense/sparse/adaptive comparison (Plummer) ====\n");
+  // Pinned uniform-leaf rows on a clustered (Plummer) distribution, at
+  // depth 4 (near-field dominated at N=100k) and depth 5 (translation
+  // dominated). Every uniform-leaf request runs the one active-set
+  // executor, so there is no dense row to set beside them.
+  std::printf("\n==== clustered uniform-leaf/adaptive comparison (Plummer) "
+              "====\n");
   for (const int depth : {4, 5}) {
     RunOpts d = opts;
     d.dist = "plummer";
     d.depth = depth;
-    d.hierarchy = core::HierarchyMode::kDense;
-    char label[96], slug[64];
-    std::snprintf(label, sizeof label, "Plummer depth-%d, dense hierarchy",
-                  depth);
-    std::snprintf(slug, sizeof slug, "plummer_d%d_dense", depth);
-    const RunOutcome dense = run(label, slug, anderson::params_d5_k12(), n,
-                                 false, json, false, d);
     d.hierarchy = core::HierarchyMode::kSparse;
+    char label[96], slug[64];
     std::snprintf(label, sizeof label, "Plummer depth-%d, sparse hierarchy",
                   depth);
     std::snprintf(slug, sizeof slug, "plummer_d%d_sparse", depth);
-    const RunOutcome sparse = run(label, slug, anderson::params_d5_k12(), n,
-                                  false, json, false, d);
-    std::printf(
-        "\nplummer depth-%d sparse vs dense: warm %.3f s -> %.3f s "
-        "(%.2fx), workspace %.2f MB -> %.2f MB (%.2fx)\n",
-        depth, dense.warm, sparse.warm, dense.warm / sparse.warm,
-        static_cast<double>(dense.workspace_bytes) / 1e6,
-        static_cast<double>(sparse.workspace_bytes) / 1e6,
-        static_cast<double>(dense.workspace_bytes) /
-            static_cast<double>(sparse.workspace_bytes));
+    run(label, slug, anderson::params_d5_k12(), n, false, json, false, d);
   }
 
   // Adaptive ncrit refinement against the best uniform-leaf sparse solve:

@@ -27,6 +27,13 @@ void gemm(const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, std::size_t m, std::size_t n,
           std::size_t k, bool accumulate);
 
+/// Rows of C per gemm micro-kernel tile. Rows inside whole tiles take the
+/// micro-kernel, whose result for a row depends only on that row of A and
+/// on B; a partial last tile takes a scalar loop that rounds differently.
+/// A caller that pads A with zero rows to a multiple of this count gets
+/// product rows whose bits do not depend on their position in A.
+inline constexpr std::size_t kGemmRowTile = 4;
+
 /// Multiple-instance gemm: `count` independent products with the SAME shape,
 /// each instance i using a + i*stride_a etc. Matches the CMSSL
 /// multiple-instance matrix-multiplication call used in Section 3.3.3.

@@ -25,16 +25,19 @@ enum class DistPartitioner {
 
 /// How translations are applied (paper Section 3.3.3):
 enum class AggregationMode {
-  kGemv,       ///< one matrix-vector product per box (BLAS-2)
-  kGemm,       ///< boxes aggregated into matrix-matrix products (BLAS-3)
-  kGemmBatch,  ///< multiple-instance GEMM over subgrid slabs (CMSSL style)
+  kGemv,  ///< one matrix-vector product per box pair (BLAS-2)
+  kGemm,  ///< box pairs gathered into matrix-matrix products (BLAS-3)
 };
 
-/// How the box hierarchy is enumerated (DESIGN.md Sections 13 and 15):
+/// How the box hierarchy is enumerated (DESIGN.md Sections 13 and 15).
+/// In the sequential, threaded and distributed modes kDense, kSparse and
+/// kAuto all run the one uniform-leaf active-set executor; the names differ
+/// only in the data-parallel mode, which masks the multigrid moves of
+/// inactive sections for kSparse, and for kAuto below 0.9 leaf occupancy.
 enum class HierarchyMode {
-  kDense,     ///< dense 8^l arrays per level (the classic layout)
-  kSparse,    ///< active-box level sets derived from leaf occupancy
-  kAuto,      ///< sparse when leaf occupancy < 0.9, else dense
+  kDense,     ///< one uniform leaf level (DP: unmasked dense grids)
+  kSparse,    ///< one uniform leaf level (DP: masked moves)
+  kAuto,      ///< one uniform leaf level (DP: masked below 0.9 occupancy)
   kAdaptive,  ///< per-box ncrit refinement: non-uniform leaf front (§15)
 };
 
@@ -82,10 +85,8 @@ struct FmmConfig {
   KernelSpec kernel{};
   ExecutionMode mode = ExecutionMode::kThreads;
   AggregationMode aggregation = AggregationMode::kGemm;
-  /// Sparse active-box hierarchy selection. kAuto measures the leaf-level
-  /// occupancy after the coordinate sort and switches to the sparse
-  /// executor only when it falls below 0.9 — dense (near-)uniform inputs
-  /// keep the dense path and its exact bit patterns.
+  /// Hierarchy selection (see HierarchyMode): the uniform-leaf requests
+  /// share one executor outside the data-parallel mode.
   /// kAdaptive (opt-in, env HFMM_HIERARCHY=adaptive) replaces the single
   /// global leaf level with a per-box ncrit-refined leaf front (DESIGN.md
   /// §15); in data-parallel mode it degrades to the kAuto behaviour.

@@ -62,8 +62,11 @@ struct FmmResult {
   std::size_t leaf_boxes = 0;
   bool plan_reused = false;  ///< warm solve: no plan construction happened
   std::uint64_t workspace_allocs = 0;  ///< heap-growth events this solve
-  /// True when the solve ran on the sparse active-box executor (forced by
-  /// HierarchyMode::kSparse or selected by kAuto's occupancy cutoff).
+  /// True when the solve ran over active-box level sets with one uniform
+  /// leaf level: every kDense, kSparse and kAuto request in the sequential,
+  /// threaded and distributed modes, and in the data-parallel mode a solve
+  /// whose multigrid moves were masked (kSparse, or kAuto below 0.9 leaf
+  /// occupancy).
   bool sparse = false;
   /// True when the solve ran on the adaptive leaf-front executor
   /// (HierarchyMode::kAdaptive, DESIGN.md Section 15).
@@ -84,11 +87,12 @@ struct FmmResult {
   double modeled_seconds = 0.0;
   /// Leaves of the adaptive front (== leaf_boxes on adaptive solves).
   std::size_t front_leaves = 0;
-  /// Total active boxes over all levels (== total dense boxes when dense).
+  /// Total active boxes over all levels (== total dense boxes when every
+  /// box is active, or on a kDense data-parallel solve).
   std::size_t active_boxes = 0;
   /// Per-level active-box fraction, level_occupancy[l] in (0, 1]; filled
-  /// whenever the active sets were derived (sparse solves, and DP solves
-  /// with hierarchy != kDense).
+  /// whenever the active sets were derived (every shared-memory and
+  /// distributed solve, and DP solves with hierarchy != kDense).
   std::vector<double> level_occupancy;
   /// Heap footprint (capacity) of the solve workspace after this solve.
   std::size_t workspace_bytes = 0;

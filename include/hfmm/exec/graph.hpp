@@ -153,8 +153,9 @@ void run_graphs(std::span<PhaseGraph* const> graphs,
                 std::vector<std::vector<StageTiming>>* timelines = nullptr);
 
 /// Splits items [0, weights.size()) into at most `max_chunks` contiguous
-/// chunks of near-equal total weight (greedy prefix targets; every chunk
-/// gets at least one item). Returns the chunk bounds: bounds[c] .. bounds
+/// chunks of near-equal total weight (prefix targets, each chunk closed at
+/// the candidate end nearer its target; every chunk gets at least one
+/// item). Returns the chunk bounds: bounds[c] .. bounds
 /// [c+1] is chunk c, bounds.front() == 0, bounds.back() == weights.size().
 /// Deterministic in the weights — the building block of add_weighted,
 /// exposed for tests and for callers that need the split itself.

@@ -7,9 +7,12 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "hfmm/blas/blas.hpp"
+
 namespace hfmm::blas::detail {
 
-inline constexpr std::size_t kMR = 4;  // rows of C per micro-kernel call
+// Rows of C per micro-kernel call (the public row tile).
+inline constexpr std::size_t kMR = kGemmRowTile;
 inline constexpr std::size_t kNR = 8;  // columns of C per micro-kernel call
 
 /// 64-byte-aligned thread-local scratch, grown geometrically and reused

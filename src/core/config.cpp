@@ -28,7 +28,6 @@ const char* to_string(AggregationMode m) {
   switch (m) {
     case AggregationMode::kGemv: return "gemv";
     case AggregationMode::kGemm: return "gemm";
-    case AggregationMode::kGemmBatch: return "gemm-batch";
   }
   return "?";
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace hfmm::core::internal {
 
@@ -22,29 +20,26 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
 
   using exec::NodeId;
   exec::PhaseGraph g;
-  // P2M/L2P split [0, leaves) by equal ranges, or by cost weights.
-  const auto add_leaf_stage = [&](const char* name,
-                                  exec::PhaseGraph::ChunkBody body) {
-    return stages.leaf_cost.empty()
-               ? g.add(name, name, stages.leaves, 0, std::move(body))
-               : g.add_weighted(name, name, stages.leaf_cost, 0,
-                                std::move(body));
+  const auto level_boxes = [&stages](int l) {
+    return stages.act->levels[l].count();
   };
   const auto add_level_stage = [&](const char* prefix, const char* phase,
-                                   const LevelStage& stage, int l) {
-    return g.add(prefix + std::to_string(l), phase, stage.range(l), 0,
-                 [&stage, l](std::size_t c, std::size_t lo, std::size_t hi,
-                             PhaseStats& st) { stage.body(l, c, lo, hi, st); });
+                                   const LevelBody& body, int l) {
+    return g.add(prefix + std::to_string(l), phase, level_boxes(l), 0,
+                 [&body, l](std::size_t c, std::size_t lo, std::size_t hi,
+                            PhaseStats& st) { body(l, c, lo, hi, st); });
   };
 
-  // The executors run the coordinate sort before building the graph (the
-  // executor choice needs its output); the stage stays as a no-op so the
+  // The coordinate sort runs before the graph is built (the executors
+  // derive their active sets from it); the stage stays as a no-op so the
   // timeline keeps the full pipeline shape.
   const NodeId sort = g.add_serial(sort_repaired ? "sort.incremental" : "sort",
                                    "sort", [](PhaseStats&) {});
   const NodeId prep_levels =
       g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
-        if (far_capable) stages.prepare_levels();
+        if (!far_capable) return;
+        ws.prepare_levels(*stages.act, config.params.k());
+        ws.arena.ensure(pool.size(), ws.allocs);
       });
   const NodeId prep_out =
       g.add_serial("prepare:outputs", "workspace", [&](PhaseStats&) {
@@ -74,56 +69,40 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
     g.depend(prev, prep_out);
     far_tail = prev;
   } else {
-    const NodeId p2m = add_leaf_stage("p2m", stages.p2m);
+    const NodeId p2m =
+        g.add_weighted("p2m", "p2m", stages.leaf_cost, 0, stages.p2m);
     g.depend(p2m, sort);
     g.depend(p2m, prep_levels);
 
-    // Upward chain: up[l] completes far[l] (far[top] comes from P2M).
-    std::vector<NodeId> up(top, p2m);
+    // Upward chain: upward:L completes far[l] (far[top] comes from P2M).
     NodeId chain = p2m;
     for (int l = top - 1; l >= 1; --l) {
       const NodeId id =
           add_level_stage("upward:L", "upward", stages.upward, l);
       g.depend(id, chain);
-      up[l] = id;
       chain = id;
     }
-    const auto far_ready = [&](int l) { return l == top ? p2m : up[l]; };
 
     // Downward/interactive: per level, T3 (l > 2) then T2, both writing
     // local[l] — the T3 -> T2 edge fixes the floating-point accumulation
-    // order. A pad stage fills the shared padded grid before its level's
-    // T2 and waits for the chain tail: the previous level's T2, which
-    // releases the grid, or at l = 2 the end of the upward pass, whose
-    // chunks share the dense per-chunk scratch slots with T2 and T3.
-    const bool has_pad = static_cast<bool>(stages.pad.body);
+    // order. The chain starts after the whole upward pass, so every far
+    // level a T2 reads is complete, and no two translation stages use the
+    // per-chunk gather slots (ws.arena) at once.
     for (int l = 2; l <= top; ++l) {
-      NodeId t3 = 0;
-      const bool has_t3 = l > 2;
-      if (has_t3) {
-        t3 = add_level_stage("downward:L", "downward", stages.downward, l);
+      if (l > 2) {
+        const NodeId t3 =
+            add_level_stage("downward:L", "downward", stages.downward, l);
         g.depend(t3, chain);  // local[l-1] complete
+        chain = t3;
       }
-      NodeId apply = 0;
-      if (has_pad) {
-        const NodeId pad =
-            add_level_stage("pad:L", "interactive", stages.pad, l);
-        g.depend(pad, far_ready(l));
-        g.depend(pad, chain);
-        apply = add_level_stage("interactive:L", "interactive",
-                                stages.interactive, l);
-        g.depend(apply, pad);
-      } else {
-        apply = add_level_stage("interactive:L", "interactive",
-                                stages.interactive, l);
-        // Sources: far[l], plus far[l-1] for supernode parent-level entries.
-        g.depend(apply, config.supernodes ? far_ready(l - 1) : far_ready(l));
-      }
-      if (has_t3) g.depend(apply, t3);
+      const NodeId apply = add_level_stage("interactive:L", "interactive",
+                                           stages.interactive, l);
+      g.depend(apply, chain);
       chain = apply;
     }
 
-    const NodeId l2p = add_leaf_stage("l2p", stages.l2p);
+    const NodeId l2p =
+        g.add_weighted("l2p", "l2p", stages.leaf_cost, 0, stages.l2p);
     g.depend(l2p, chain);
     g.depend(l2p, prep_out);
     far_tail = l2p;
@@ -172,8 +151,8 @@ void run_pipeline(const PipelineStages& stages, const FmmConfig& config,
                                                : exec::RunMode::kInline,
         result.breakdown, &result.timeline);
 
-  record_phase_boxes(hier, top, stages.leaves, near_items,
-                     stages.level_boxes, far_capable, result.breakdown);
+  record_phase_boxes(hier, top, stages.leaf_cost.size(), near_items,
+                     level_boxes, far_capable, result.breakdown);
   result.breakdown["workspace"].allocs +=
       ws.allocs.load(std::memory_order_relaxed);
   result.workspace_allocs = result.breakdown["workspace"].allocs;

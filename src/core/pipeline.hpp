@@ -1,18 +1,18 @@
 #pragma once
 // The shared-memory solve pipeline (DESIGN.md Section 12): the one builder
-// of the phase graph that the dense, sparse and adaptive executors run.
+// of the phase graph that the uniform-leaf and adaptive executors run.
 //
-// Every executor runs the paper's five-step method (Section 2.2) with the
+// Both executors run the paper's five-step method (Section 2.2) with the
 // same graph shape: P2M, the T1 upward chain, per level T3 then T2 (the
 // T3 -> T2 edge fixes the accumulation order into the local field), L2P,
 // and the near field at lower priority beside the whole far chain, meeting
 // it only at the accumulate stage. What differs per executor is data: the
-// deepest far level, the index range or cost weights of each stage, the
-// chunk bodies, the optional dense `pad:L` stages, the near-field body, the
-// per-level box counts it reports, and the step-cache state it leaves. The
-// near stage always splits by its cost weights into min(items, kNearChunks)
-// chunks, so no split depends on the worker count.
-// PipelineStages carries exactly that; run_pipeline owns the graph.
+// deepest far level, the level sets the translation stages iterate, the
+// cost weights of the leaf and near stages, the chunk bodies, and the
+// step-cache state it leaves. The near stage always splits by its cost
+// weights into min(items, kNearChunks) chunks, so no split depends on the
+// worker count. PipelineStages carries exactly that; run_pipeline owns the
+// graph.
 
 #include <cstddef>
 #include <cstdint>
@@ -26,43 +26,34 @@
 
 namespace hfmm::core::internal {
 
-// One translation stage per level: the index range of level l's stage and
-// its chunk body (`chunk` is the stage's chunk index, a scratch-slot key).
-struct LevelStage {
-  std::function<std::size_t(int l)> range;
-  std::function<void(int l, std::size_t chunk, std::size_t lo,
-                     std::size_t hi, PhaseStats& stats)>
-      body;
-};
+// One translation stage of level l over [lo, hi) of its level set's active
+// indices (`chunk` is the stage's chunk index, a scratch-slot key).
+using LevelBody = std::function<void(int l, std::size_t chunk, std::size_t lo,
+                                     std::size_t hi, PhaseStats& stats)>;
 
 struct PipelineStages {
   // Deepest level of the far-field chain: the hierarchy depth for the
-  // uniform-leaf executors, the front's max_leaf_level for the adaptive one.
+  // uniform-leaf executor, the front's max_leaf_level for the adaptive one.
   int far_depth = 0;
-  // Items of the P2M/L2P stages and their cost weights. Empty weights split
-  // [0, leaves) into equal ranges (dense); otherwise the stages split by
-  // cost and `leaves` equals the weights' size.
-  std::size_t leaves = 0;
+  // The far chain's level sets: the level-l translation stages iterate the
+  // active indices of act->levels[l], which also size the level stores and
+  // are the boxes the phases report as visited.
+  const tree::ActiveLevels* act = nullptr;
+  // Cost weight of each P2M/L2P item; the leaf stages run over
+  // [0, leaf_cost.size()) split by these weights.
   std::span<const std::uint64_t> leaf_cost;
   // Near-field cost of each near item (its pair count); the near stage
   // runs over [0, near_cost.size()) split by these weights. Items are leaves
   // in sorted-particle (Morton) order, so each chunk's write window is a
   // compact set of particle ranges.
   std::span<const std::uint64_t> near_cost;
-  // Sizes the far/local level stores (runs only for far-field kernels).
-  std::function<void()> prepare_levels;
   exec::PhaseGraph::ChunkBody p2m, l2p;
-  LevelStage upward, downward, interactive;
-  // Dense non-supernode T2 only: fills the shared zero-padded source grid
-  // before each level's interactive stage. Empty body = no pad stages.
-  LevelStage pad;
+  LevelBody upward, downward, interactive;
   // Near field over leaf items [lo, hi) into the chunk's scratch slot (its
   // write window); a grown window counts as a workspace allocation.
   std::function<NearFieldResult(NearFieldScratch::Chunk& ch, std::size_t lo,
                                 std::size_t hi)>
       near;
-  // Boxes the translation stages visit at level l (the phase box counts).
-  std::function<std::size_t(int l)> level_boxes;
   // Step-cache validity this solve leaves behind (DESIGN.md Section 14):
   // whether ws.active and ws.leaf_cost/near_cost describe the new sort.
   bool active_valid = false;

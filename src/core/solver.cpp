@@ -1,24 +1,15 @@
 #include "hfmm/core/solver.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
-#include "hfmm/anderson/kernels.hpp"
-#include "hfmm/anderson/leaf_ops.hpp"
-#include "hfmm/blas/blas.hpp"
-#include "hfmm/core/near_field.hpp"
-#include "hfmm/dp/multigrid.hpp"
 #include "hfmm/dp/sort.hpp"
 #include "hfmm/service/plan_cache.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
-#include "pipeline.hpp"
 #include "solver_internal.hpp"
-#include "sparse_chunks.hpp"
 
 namespace hfmm::core {
 
@@ -238,34 +229,6 @@ bool FmmSolver::plan_ready(std::size_t n) const {
 
 namespace internal {
 
-void apply_rows(const AppMatrix& m, const double* src, double* dst,
-                std::size_t nb, AggregationMode mode, std::size_t batch_slab,
-                std::uint64_t& flops) {
-  const std::size_t k = m.k;
-  switch (mode) {
-    case AggregationMode::kGemv:
-      for (std::size_t b = 0; b < nb; ++b)
-        blas::gemv(m.t, k, src + b * k, dst + b * k, k, k, true);
-      break;
-    case AggregationMode::kGemm:
-      blas::gemm(src, k, m.tt.data(), k, dst, k, nb, k, k, true);
-      break;
-    case AggregationMode::kGemmBatch: {
-      const std::size_t slab = std::max<std::size_t>(1, batch_slab);
-      const std::size_t full = nb / slab;
-      if (full > 0)
-        blas::gemm_batch(src, k, slab * k, m.tt.data(), k, 0, dst, k,
-                         slab * k, slab, k, k, full, true);
-      const std::size_t rem = nb - full * slab;
-      if (rem > 0)
-        blas::gemm(src + full * slab * k, k, m.tt.data(), k,
-                   dst + full * slab * k, k, rem, k, k, true);
-      break;
-    }
-  }
-  flops += blas::gemm_flops(nb, k, k);
-}
-
 namespace {
 
 // Floor/ceil division by 2 that stays correct for negative numerators (C++
@@ -321,380 +284,6 @@ SupernodeLevelPlan build_supernode_plan(const TranslationData& trans,
 
 }  // namespace internal
 
-// ---------------------------------------------------------------------------
-// Shared-memory (seq / threads) execution: chunked stage bodies driven by
-// the hfmm::exec phase graph. Each body covers [lo, hi) of its stage's
-// range, uses the stage chunk index as its scratch-slot key, and reports
-// flops/bytes into the per-worker PhaseStats the scheduler hands it.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct SharedContext {
-  const FmmConfig& config;
-  const FmmPlan& plan;
-  const tree::Hierarchy& hier;
-  SolveWorkspace& ws;
-
-  const TranslationData& trans() const { return *plan.trans; }
-};
-
-// One level of the upward T1 pass over parent (z, y) rows [lo, hi); each
-// row gathers its 8 strided child rows into chunk scratch.
-void upward_chunk(SharedContext& ctx, int l, std::size_t chunk,
-                  std::size_t lo, std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int32_t np = ctx.hier.boxes_per_side(l);
-  const std::int32_t nc = 2 * np;
-  const double* child = ctx.ws.far[l + 1].data();
-  double* parent = ctx.ws.far[l].data();
-  internal::ChunkSlot& slot = ctx.ws.arena.slot(chunk);
-  internal::grow(slot.a, static_cast<std::size_t>(np) * k, ctx.ws.allocs);
-  double* scratch = slot.a.data();
-  std::uint64_t local_flops = 0;
-  for (std::size_t zy = lo; zy < hi; ++zy) {
-    const std::int32_t pz = static_cast<std::int32_t>(zy / np);
-    const std::int32_t py = static_cast<std::int32_t>(zy % np);
-    double* prow = parent + (static_cast<std::size_t>(pz) * np + py) * np * k;
-    for (int o = 0; o < 8; ++o) {
-      const std::int32_t cz = 2 * pz + ((o >> 2) & 1);
-      const std::int32_t cy = 2 * py + ((o >> 1) & 1);
-      const std::int32_t cx0 = o & 1;
-      // Gather the strided child row (stride 2 boxes) into scratch.
-      const double* crow =
-          child + (static_cast<std::size_t>(cz) * nc + cy) * nc * k;
-      for (std::int32_t px = 0; px < np; ++px)
-        std::memcpy(scratch + px * k,
-                    crow + (static_cast<std::size_t>(2 * px + cx0)) * k,
-                    k * sizeof(double));
-      internal::apply_rows(ctx.trans().t1[o], scratch, prow, np,
-                           ctx.config.aggregation, 8, local_flops);
-    }
-  }
-  stats.flops += local_flops;
-}
-
-// Fills padded z slabs [lo, hi) of the level-l source grid: zero the slab,
-// then copy the interior far-field rows (padding radius 2d+1 masks the
-// domain boundary automatically). Disjoint writes per slab.
-void pad_chunk(SharedContext& ctx, int l, std::size_t lo, std::size_t hi,
-               PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int32_t r = 2 * ctx.config.separation + 1;
-  const std::int32_t n = ctx.hier.boxes_per_side(l);
-  const std::int32_t np = n + 2 * r;
-  std::vector<double>& pad = ctx.ws.pad;
-  const double* far = ctx.ws.far[l].data();
-  std::uint64_t local_copy = 0;
-  for (std::size_t z = lo; z < hi; ++z) {
-    double* slab = pad.data() + z * static_cast<std::size_t>(np) * np * k;
-    std::fill(slab, slab + static_cast<std::size_t>(np) * np * k, 0.0);
-    const std::int32_t iz = static_cast<std::int32_t>(z) - r;
-    if (iz < 0 || iz >= n) continue;
-    for (std::int32_t y = 0; y < n; ++y)
-      std::memcpy(slab + (static_cast<std::size_t>(y + r) * np + r) * k,
-                  far + (static_cast<std::size_t>(iz) * n + y) * n * k,
-                  static_cast<std::size_t>(n) * k * sizeof(double));
-    local_copy += static_cast<std::size_t>(n) * n * k * sizeof(double);
-  }
-  stats.bytes_moved += local_copy;
-}
-
-// T2 over target z slabs [lo, hi) of level l, reading the zero-padded
-// source grid filled by pad_chunk.
-void interactive_chunk(SharedContext& ctx, int l, std::size_t chunk,
-                       std::size_t lo, std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const int d = ctx.config.separation;
-  const std::int32_t r = 2 * d + 1;
-  const std::int32_t n = ctx.hier.boxes_per_side(l);
-  const std::int32_t np = n + 2 * r;
-  const std::vector<double>& pad = ctx.ws.pad;
-  double* local = ctx.ws.local[l].data();
-
-  internal::ChunkSlot& slot = ctx.ws.arena.slot(chunk);
-  internal::grow(slot.a, static_cast<std::size_t>(n) * n * k, ctx.ws.allocs);
-  internal::grow(slot.b, static_cast<std::size_t>(n) * k, ctx.ws.allocs);
-  internal::grow(slot.c, static_cast<std::size_t>(n) * k, ctx.ws.allocs);
-  double* src_slab = slot.a.data();
-  double* dst_strip = slot.b.data();
-  double* out_strip = slot.c.data();
-  std::uint64_t local_flops = 0, local_copy = 0;
-  {
-    for (std::size_t z = lo; z < hi; ++z) {
-      for (const UnionOffset& u : ctx.trans().union_offsets) {
-        const AppMatrix& m =
-            ctx.trans().t2[tree::offset_cube_index(u.o, d)];
-        const std::size_t sz = z + r + u.o.dz;
-        if (u.all_parities) {
-          switch (ctx.config.aggregation) {
-            case AggregationMode::kGemm: {
-              // Copy the n x n source slab into contiguous scratch (the
-              // paper's copy cost, ~2/K of the multiply), then one GEMM of
-              // shape (n^2) x K x K.
-              for (std::int32_t y = 0; y < n; ++y)
-                std::memcpy(
-                    src_slab + static_cast<std::size_t>(y) * n * k,
-                    pad.data() + ((sz * np + (y + r + u.o.dy)) * np + r +
-                                  u.o.dx) *
-                                     k,
-                    static_cast<std::size_t>(n) * k * sizeof(double));
-              local_copy += static_cast<std::size_t>(n) * n * k * 8;
-              internal::apply_rows(
-                  m, src_slab, local + static_cast<std::size_t>(z) * n * n * k,
-                  static_cast<std::size_t>(n) * n, AggregationMode::kGemm, 0,
-                  local_flops);
-              break;
-            }
-            case AggregationMode::kGemmBatch: {
-              // Each y row is one instance: strided A directly in the padded
-              // grid, no copies (the CMSSL multiple-instance trick).
-              blas::gemm_batch(
-                  pad.data() + ((sz * np + (r + u.o.dy)) * np + r + u.o.dx) * k,
-                  k, static_cast<std::size_t>(np) * k, m.tt.data(), k, 0,
-                  local + static_cast<std::size_t>(z) * n * n * k, k,
-                  static_cast<std::size_t>(n) * k, n, k, k, n, true);
-              local_flops += blas::gemm_flops(static_cast<std::size_t>(n) * n,
-                                              k, k);
-              break;
-            }
-            case AggregationMode::kGemv: {
-              for (std::int32_t y = 0; y < n; ++y)
-                for (std::int32_t x = 0; x < n; ++x)
-                  blas::gemv(m.t, k,
-                             pad.data() + ((sz * np + (y + r + u.o.dy)) * np +
-                                           (x + r + u.o.dx)) *
-                                              k,
-                             local + ((static_cast<std::size_t>(z) * n + y) *
-                                          n +
-                                      x) *
-                                         k,
-                             k, k, true);
-              local_flops += blas::gemm_flops(static_cast<std::size_t>(n) * n,
-                                              k, k);
-              break;
-            }
-          }
-        } else {
-          // Parity-restricted shell (a +-(2d+1) component): only boxes of
-          // the admissible parity are targets; apply per strided strip.
-          const std::int32_t pz_ok = u.valid_parity[2];
-          if (!(pz_ok & (1 << (z & 1)))) continue;
-          for (std::int32_t y = 0; y < n; ++y) {
-            if (!(u.valid_parity[1] & (1 << (y & 1)))) continue;
-            const std::int32_t x0 =
-                (u.valid_parity[0] == 3) ? 0 : ((u.valid_parity[0] == 1) ? 0 : 1);
-            const std::int32_t xstep = (u.valid_parity[0] == 3) ? 1 : 2;
-            std::size_t cnt = 0;
-            for (std::int32_t x = x0; x < n; x += xstep) {
-              std::memcpy(dst_strip + cnt * k,
-                          pad.data() + ((sz * np + (y + r + u.o.dy)) * np +
-                                        (x + r + u.o.dx)) *
-                                           k,
-                          k * sizeof(double));
-              ++cnt;
-            }
-            local_copy += cnt * k * 8;
-            // Multiply into a scratch strip, then scatter-accumulate.
-            std::fill(out_strip, out_strip + cnt * k, 0.0);
-            blas::gemm(dst_strip, k, m.tt.data(), k, out_strip, k, cnt, k, k,
-                       false);
-            local_flops += blas::gemm_flops(cnt, k, k);
-            std::size_t w = 0;
-            for (std::int32_t x = x0; x < n; x += xstep) {
-              double* dst = local + ((static_cast<std::size_t>(z) * n + y) *
-                                         n +
-                                     x) *
-                                        k;
-              for (std::size_t i = 0; i < k; ++i) dst[i] += out_strip[w * k + i];
-              ++w;
-            }
-          }
-        }
-      }
-    }
-  }
-  stats.flops += local_flops;
-  stats.bytes_moved += local_copy;
-}
-
-// Supernode variant of the interactive field (paper Section 2.3): complete
-// sibling octets are replaced by one parent-level translation. Instead of
-// branching per box, the precomputed gather plan (one rectangle of parent
-// coordinates per octant x entry, see solver_internal.hpp) drives the
-// application, so the phase aggregates into the same BLAS-3 forms as the
-// non-supernode path: kGemm gathers each rectangle slice into a contiguous
-// slab and applies the supernode matrix as one GEMM; kGemmBatch expresses
-// the stride-2 child geometry directly as a multiple-instance GEMM (leading
-// dimension 2K, one instance per parent row) with zero copies; kGemv is the
-// per-box BLAS-2 reference.
-void supernode_chunk(SharedContext& ctx, int l, std::size_t chunk,
-                     std::size_t ulo, std::size_t uhi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int32_t n = ctx.hier.boxes_per_side(l);
-  const std::int32_t np = ctx.hier.boxes_per_side(l - 1);
-  const internal::SupernodeLevelPlan& plan = ctx.plan.supernode_plans[l];
-  const double* far = ctx.ws.far[l].data();
-  const double* far_parent = ctx.ws.far[l - 1].data();
-  double* local = ctx.ws.local[l].data();
-  const AggregationMode mode = ctx.config.aggregation;
-
-  // Work units are (octant, parent z slice): targets of distinct units are
-  // disjoint (octants differ in child parity, slices in child z), so chunks
-  // write race-free.
-  internal::ChunkSlot& slot = ctx.ws.arena.slot(chunk);
-  std::uint64_t local_flops = 0, local_moved = 0;
-  {
-    {
-        for (std::size_t u = ulo; u < uhi; ++u) {
-          const int octant = static_cast<int>(u / np);
-          const std::int32_t pz = static_cast<std::int32_t>(u % np);
-          const std::int32_t ox = octant & 1, oy = (octant >> 1) & 1,
-                             oz = (octant >> 2) & 1;
-          const std::int32_t cz = 2 * pz + oz;
-          for (const internal::SupernodePlanEntry& pe :
-               plan.per_octant[octant]) {
-            if (pz < pe.lo[2] || pz >= pe.hi[2]) continue;
-            const std::int32_t xlo = pe.lo[0], xlen = pe.hi[0] - pe.lo[0];
-            const std::int32_t ylo = pe.lo[1], ylen = pe.hi[1] - pe.lo[1];
-            const AppMatrix& m = *pe.matrix;
-            // Source base pointer for parent row py and its x stride.
-            const auto src_row = [&](std::int32_t py) -> const double* {
-              if (pe.parent_source) {
-                return far_parent +
-                       ((static_cast<std::size_t>(pz + pe.offset.dz) * np +
-                         (py + pe.offset.dy)) *
-                            np +
-                        (xlo + pe.offset.dx)) *
-                           k;
-              }
-              return far + ((static_cast<std::size_t>(2 * pz + oz +
-                                                      pe.offset.dz) *
-                                 n +
-                             (2 * py + oy + pe.offset.dy)) *
-                                n +
-                            (2 * xlo + ox + pe.offset.dx)) *
-                               k;
-            };
-            const std::size_t src_xstride = pe.parent_source ? k : 2 * k;
-            const auto dst_row = [&](std::int32_t py) -> double* {
-              return local + ((static_cast<std::size_t>(cz) * n +
-                               (2 * py + oy)) *
-                                  n +
-                              (2 * xlo + ox)) *
-                                 k;
-            };
-            switch (mode) {
-              case AggregationMode::kGemv: {
-                for (std::int32_t py = ylo; py < ylo + ylen; ++py) {
-                  const double* src = src_row(py);
-                  double* dst = dst_row(py);
-                  for (std::int32_t i = 0; i < xlen; ++i)
-                    blas::gemv(m.t, k, src + i * src_xstride,
-                               dst + i * 2 * k, k, k, true);
-                }
-                break;
-              }
-              case AggregationMode::kGemm: {
-                // Gather the whole rectangle slice into a contiguous slab,
-                // one GEMM, scatter-accumulate back (Section 3.4 copy cost).
-                const std::size_t rows =
-                    static_cast<std::size_t>(xlen) * ylen;
-                internal::grow(slot.a, rows * k, ctx.ws.allocs);
-                internal::grow(slot.b, rows * k, ctx.ws.allocs);
-                double* slab = slot.a.data();
-                double* out = slot.b.data();
-                double* w = slab;
-                for (std::int32_t py = ylo; py < ylo + ylen; ++py) {
-                  const double* src = src_row(py);
-                  if (src_xstride == k) {
-                    std::memcpy(w, src, static_cast<std::size_t>(xlen) * k *
-                                            sizeof(double));
-                    w += static_cast<std::size_t>(xlen) * k;
-                  } else {
-                    for (std::int32_t i = 0; i < xlen; ++i, w += k)
-                      std::memcpy(w, src + i * src_xstride,
-                                  k * sizeof(double));
-                  }
-                }
-                std::fill(out, out + rows * k, 0.0);
-                blas::gemm(slab, k, m.tt.data(), k, out, k, rows, k, k,
-                           false);
-                const double* r = out;
-                for (std::int32_t py = ylo; py < ylo + ylen; ++py) {
-                  double* dst = dst_row(py);
-                  for (std::int32_t i = 0; i < xlen; ++i, r += k) {
-                    double* d = dst + i * 2 * k;
-                    for (std::size_t j = 0; j < k; ++j) d[j] += r[j];
-                  }
-                }
-                local_moved += 2 * rows * k * sizeof(double);
-                break;
-              }
-              case AggregationMode::kGemmBatch: {
-                // Strided multiple-instance GEMM straight off the level
-                // grids: instance = parent row, lda expresses the stride-2
-                // child spacing — no copies at all (the CMSSL trick).
-                const std::size_t stride_a =
-                    pe.parent_source ? static_cast<std::size_t>(np) * k
-                                     : 2 * static_cast<std::size_t>(n) * k;
-                blas::gemm_batch(src_row(ylo), src_xstride, stride_a,
-                                 m.tt.data(), k, 0, dst_row(ylo), 2 * k,
-                                 2 * static_cast<std::size_t>(n) * k, xlen,
-                                 k, k, ylen, true);
-                break;
-              }
-            }
-            local_flops += blas::gemm_flops(
-                static_cast<std::size_t>(xlen) * ylen, k, k);
-          }
-        }
-    }
-  }
-  stats.flops += local_flops;
-  stats.bytes_moved += local_moved;
-}
-
-// One level of the downward T3 pass over parent (z, y) rows [lo, hi):
-// parent local field shifted into the children, accumulated before the
-// level's T2 stage (graph edges enforce the order).
-void downward_chunk(SharedContext& ctx, int l, std::size_t chunk,
-                    std::size_t lo, std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int32_t np = ctx.hier.boxes_per_side(l - 1);
-  const std::int32_t nc = 2 * np;
-  const double* parent = ctx.ws.local[l - 1].data();
-  double* child = ctx.ws.local[l].data();
-  internal::ChunkSlot& slot = ctx.ws.arena.slot(chunk);
-  internal::grow(slot.a, static_cast<std::size_t>(np) * k, ctx.ws.allocs);
-  double* scratch = slot.a.data();
-  std::uint64_t local_flops = 0;
-  for (std::size_t zy = lo; zy < hi; ++zy) {
-    const std::int32_t pz = static_cast<std::int32_t>(zy / np);
-    const std::int32_t py = static_cast<std::int32_t>(zy % np);
-    const double* prow =
-        parent + (static_cast<std::size_t>(pz) * np + py) * np * k;
-    for (int o = 0; o < 8; ++o) {
-      const std::int32_t cz = 2 * pz + ((o >> 2) & 1);
-      const std::int32_t cy = 2 * py + ((o >> 1) & 1);
-      const std::int32_t cx0 = o & 1;
-      std::fill(scratch, scratch + static_cast<std::size_t>(np) * k, 0.0);
-      internal::apply_rows(ctx.trans().t3[o], prow, scratch, np,
-                           ctx.config.aggregation, 8, local_flops);
-      double* crow =
-          child + (static_cast<std::size_t>(cz) * nc + cy) * nc * k;
-      for (std::int32_t px = 0; px < np; ++px) {
-        double* dst = crow + static_cast<std::size_t>(2 * px + cx0) * k;
-        const double* s = scratch + px * k;
-        for (std::size_t i = 0; i < k; ++i) dst[i] += s[i];
-      }
-    }
-  }
-  stats.flops += local_flops;
-}
-
-}  // namespace
-
 FmmResult FmmSolver::solve(const ParticleSet& particles) {
   return solve_impl_(particles, nullptr);
 }
@@ -744,7 +333,7 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   const int h = depth_for(n);
   result.depth = h;
   result.leaf_boxes = std::size_t{1} << (3 * h);
-  const FmmPlan& plan = impl_->plan_for(config_, h, result.breakdown);
+  impl_->plan_for(config_, h, result.breakdown);
   result.breakdown["plan"];  // phase visible with zeros on warm solves
   result.plan_reused = result.breakdown["plan"].allocs == 0;
 
@@ -786,7 +375,6 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   const tree::Hierarchy hier(cube, h);
 
   ws.begin_solve();
-  ThreadPool& pool = *impl_->pool;
 
   if (config_.mode == ExecutionMode::kDataParallel)
     return solve_dp_(particles, hier, std::move(result));
@@ -797,9 +385,10 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   const dp::MachineConfig one_vu{1, 1, 1};
   const dp::BlockLayout layout(hier.boxes_per_side(h), one_vu);
 
-  // The coordinate sort runs before any executor is chosen: the
-  // dense/sparse decision (DESIGN.md Section 13) needs leaf occupancy, and
-  // an incremental step's sort diff drives the StepCache revalidation. The
+  // The coordinate sort runs before the executor builds its graph: every
+  // executor derives its active sets from the leaf occupancy (DESIGN.md
+  // Section 13), and an incremental step's sort diff drives the StepCache
+  // revalidation. The
   // graph's sort stage is then a no-op. Short-range kernels read the
   // per-particle type array in SORTED order; inputs without a type channel
   // get the all-zeros single-type array. The pointer is re-bound after
@@ -840,92 +429,14 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
     if (ws.occupied.capacity() != cap_before)
       ws.allocs.fetch_add(1, std::memory_order_relaxed);
   }
-  if (config_.hierarchy != HierarchyMode::kDense) {
-    if (config_.mode == ExecutionMode::kDistributed)
-      return solve_dist_(particles, hier, std::move(result), view,
-                         sort_repaired);
-    if (config_.hierarchy == HierarchyMode::kAdaptive)
-      return solve_adaptive_(particles, hier, std::move(result), view,
-                             sort_repaired);
-    const double occ = static_cast<double>(ws.occupied.size()) /
-                       static_cast<double>(hier.boxes_at(h));
-    if (config_.hierarchy == HierarchyMode::kSparse ||
-        occ < internal::kSparseOccupancy)
-      return solve_sparse_(particles, hier, std::move(result), view,
+  if (config_.mode == ExecutionMode::kDistributed)
+    return solve_dist_(particles, hier, std::move(result), view,
+                       sort_repaired);
+  if (config_.hierarchy == HierarchyMode::kAdaptive)
+    return solve_adaptive_(particles, hier, std::move(result), view,
                            sort_repaired);
-  }
-
-  // The "active" phase: the far-field stages below iterate whole levels,
-  // but the near stage runs over the active leaves split by their pair
-  // counts, shared with the sparse executor.
-  internal::update_active_costs(config_, plan, hier,
-                                impl_->near.vdw.period > 0.0, ws, result);
-  result.active_boxes = 0;
-  for (int l = 0; l <= h; ++l) result.active_boxes += hier.boxes_at(l);
-
-  // Dense executor: every far-field stage iterates whole levels — P2M/L2P
-  // over flat box ranges, the upward/downward passes over parent (z, y)
-  // rows, T2 over target z slabs (supernodes: (octant, parent z) units).
-  const std::size_t k = config_.params.k();
-  SharedContext ctx{config_, plan, hier, ws};
-  const auto rows = [&](int l) {
-    const std::size_t np = hier.boxes_per_side(l);
-    return np * np;
-  };
-  internal::PipelineStages st;
-  st.far_depth = h;
-  st.leaves = hier.boxes_at(h);
-  st.prepare_levels = [&] {
-    ws.prepare_levels(h, k);
-    ws.arena.ensure(pool.size(), ws.allocs);
-    if (!config_.supernodes) {
-      // Pre-grow the padded source grid to its largest (leaf) level so the
-      // per-level pad stages only write, never resize.
-      const std::size_t np =
-          hier.boxes_per_side(h) + 2 * (2 * config_.separation + 1);
-      internal::grow(ws.pad, np * np * np * k, ws.allocs);
-    }
-  };
-  st.p2m = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
-    internal::p2m_leaves(config_, hier, ws, {}, lo, hi, s);
-  };
-  st.l2p = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
-    internal::l2p_leaves(config_, hier, ws, {}, lo, hi, s);
-  };
-  st.upward = {rows, [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
-                         PhaseStats& s) { upward_chunk(ctx, l, c, lo, hi, s); }};
-  st.downward = {[&](int l) { return rows(l - 1); },
-                 [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
-                     PhaseStats& s) { downward_chunk(ctx, l, c, lo, hi, s); }};
-  if (config_.supernodes) {
-    st.interactive = {
-        [&](int l) {
-          return 8 * static_cast<std::size_t>(hier.boxes_per_side(l - 1));
-        },
-        [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
-            PhaseStats& s) { supernode_chunk(ctx, l, c, lo, hi, s); }};
-  } else {
-    st.pad = {[&](int l) {
-                return static_cast<std::size_t>(
-                    hier.boxes_per_side(l) + 2 * (2 * config_.separation + 1));
-              },
-              [&](int l, std::size_t, std::size_t lo, std::size_t hi,
-                  PhaseStats& s) { pad_chunk(ctx, l, lo, hi, s); }};
-    st.interactive = {
-        [&](int l) {
-          return static_cast<std::size_t>(hier.boxes_per_side(l));
-        },
-        [&](int l, std::size_t c, std::size_t lo, std::size_t hi,
-            PhaseStats& s) { interactive_chunk(ctx, l, c, lo, hi, s); }};
-  }
-  internal::ActiveContext near_ctx{config_, plan, hier, ws, ws.active};
-  internal::set_active_near_stage(near_ctx, impl_->near, st);
-  st.level_boxes = [&](int l) { return hier.boxes_at(l); };
-  st.active_valid = true;
-  st.cost_valid = true;
-  internal::run_pipeline(st, config_, hier, ws, pool, n, sort_repaired, view,
-                         result);
-  return result;
+  return solve_sparse_(particles, hier, std::move(result), view,
+                       sort_repaired);
 }
 
 }  // namespace hfmm::core

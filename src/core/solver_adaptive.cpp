@@ -257,10 +257,8 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   ActiveContext ctx{config_, plan, hier, ws, act, &ws.pruned_leaf};
   internal::PipelineStages st;
   st.far_depth = maxL;
-  st.leaves = nl;
   st.leaf_cost = ws.leaf_cost;
   st.near_cost = ws.near_cost;
-  st.prepare_levels = [&] { ws.prepare_levels(act.depth, k, &act); };
   st.p2m = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
     front_chunk(ctx, lo, hi, s, internal::p2m_box);
   };

@@ -468,7 +468,10 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
         g.add_serial("prepare", "workspace", [&, r](PhaseStats&) {
           SolveWorkspace& wr = *runs[r].ws;
           const tree::ActiveLevels& act_r = runs[r].rt->act;
-          if (far_capable) wr.prepare_levels(act_r.depth, k, &act_r);
+          if (far_capable) {
+            wr.prepare_levels(act_r, k);
+            wr.arena.ensure(1, wr.allocs);
+          }
           wr.prepare_outputs(runs[r].n_own, with_gradient);
           if (wr.near_scratch.chunks.empty()) wr.near_scratch.chunks.resize(1);
         });
@@ -529,8 +532,10 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
           const NodeId up = g.add(
               "upward:L" + std::to_string(l - 1), "upward", rtr.owned[l - 1],
               1,
-              [&, r, l](std::size_t, std::size_t lo, std::size_t hi,
-                        PhaseStats& st) { upward_chunk(ctxs[r], l - 1, lo, hi, st); });
+              [&, r, l](std::size_t c, std::size_t lo, std::size_t hi,
+                        PhaseStats& st) {
+                upward_chunk(ctxs[r], l - 1, c, lo, hi, st);
+              });
           g.depend(up, far_ready[l]);
           g.depend(up, rf);
           far_ready[l - 1] = up;
@@ -563,22 +568,24 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
           g.depend(rl, prep);
           t3 = g.add(
               "downward:L" + ls, "downward", rtr.owned[l], 1,
-              [&, r, l](std::size_t, std::size_t lo, std::size_t hi,
-                        PhaseStats& st) { downward_chunk(ctxs[r], l, lo, hi, st); });
+              [&, r, l](std::size_t c, std::size_t lo, std::size_t hi,
+                        PhaseStats& st) {
+                downward_chunk(ctxs[r], l, c, lo, hi, st);
+              });
           g.depend(t3, chain);
           g.depend(t3, rl);
         }
         const NodeId inter =
             config_.supernodes
                 ? g.add("interactive:L" + ls, "interactive", rtr.owned[l], 1,
-                        [&, r, l](std::size_t, std::size_t lo, std::size_t hi,
+                        [&, r, l](std::size_t c, std::size_t lo, std::size_t hi,
                                   PhaseStats& st) {
-                          supernode_chunk(ctxs[r], l, lo, hi, st);
+                          supernode_chunk(ctxs[r], l, c, lo, hi, st);
                         })
                 : g.add("interactive:L" + ls, "interactive", rtr.owned[l], 1,
-                        [&, r, l](std::size_t, std::size_t lo, std::size_t hi,
+                        [&, r, l](std::size_t c, std::size_t lo, std::size_t hi,
                                   PhaseStats& st) {
-                          interactive_chunk(ctxs[r], l, lo, hi, st);
+                          interactive_chunk(ctxs[r], l, c, lo, hi, st);
                         });
         if (config_.supernodes) {
           g.depend(inter, far_ready[l - 1]);

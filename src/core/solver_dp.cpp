@@ -33,6 +33,10 @@ namespace {
 
 using internal::AppMatrix;
 
+// Leaf occupancy (fraction of non-empty leaf boxes) below which a kAuto
+// request masks the multigrid moves of inactive sections.
+constexpr double kSparseOccupancy = 0.9;
+
 // Machine VU rank holding a box of a (possibly folded) level layout.
 std::size_t machine_rank(const dp::Machine& m, const dp::BlockLayout& layout,
                          const tree::BoxCoord& c) {
@@ -146,7 +150,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
           ws.allocs.fetch_add(1, std::memory_order_relaxed);
         const double occ = ws.active.occupancy(h);
         use_mask = config_.hierarchy == HierarchyMode::kSparse ||
-                   occ < internal::kSparseOccupancy;
+                   occ < kSparseOccupancy;
         stats.boxes_active += ws.active.total_active();
         stats.boxes_total += ws.active.total_dense();
       });

@@ -61,12 +61,6 @@ struct UnionOffset {
 
 std::vector<UnionOffset> build_union_offsets(int separation);
 
-// Applies dst[nb x K] (+)= src[nb x K] * m.tt under the chosen aggregation
-// mode. src/dst rows are contiguous box-major potential vectors.
-void apply_rows(const AppMatrix& m, const double* src, double* dst,
-                std::size_t nb, AggregationMode mode, std::size_t batch_slab,
-                std::uint64_t& flops);
-
 // ---------------------------------------------------------------------------
 // TranslationData: the position-independent translation machinery — built
 // once per config, shared (by shared_ptr) by every FmmPlan depth.
@@ -208,15 +202,17 @@ void grow(std::vector<T>& v, std::size_t n,
   v.resize(n);
 }
 
-// Per-chunk scratch slots for chunked stage bodies: slots are keyed by the
-// stage's chunk index (stable across runs, handed to the body by the exec
-// scheduler), and the vectors persist across stages and solve() calls —
-// this hoists the per-task `std::vector<double> scratch` heap allocations
-// out of the upward/downward/interactive bodies. Stages that share the
-// arena must not run concurrently (the far-field chain is serialized by
-// graph edges); distinct chunks of one stage touch distinct slots.
+// Per-chunk gather scratch of the translation stages (BlockTranslator in
+// sparse_chunks.hpp): a gather block's target list, the targets that have a
+// source under the current matrix, and the gathered source and product
+// slabs. Slots are keyed by the stage's chunk index (stable across runs,
+// handed to the body by the exec scheduler) and persist across stages and
+// solve() calls. Stages that share the arena must not run concurrently
+// (graph edges serialize the far-field chain); distinct chunks of one stage
+// touch distinct slots.
 struct ChunkSlot {
-  std::vector<double> a, b, c;
+  std::vector<std::uint32_t> targets, rows;
+  std::vector<double> src, out;
 };
 
 class ChunkArena {
@@ -229,6 +225,13 @@ class ChunkArena {
     }
   }
   ChunkSlot& slot(std::size_t chunk) { return slots_[chunk]; }
+  std::size_t capacity_bytes() const {
+    std::size_t b = 0;
+    for (const ChunkSlot& s : slots_)
+      b += (s.targets.capacity() + s.rows.capacity()) * sizeof(std::uint32_t) +
+           (s.src.capacity() + s.out.capacity()) * sizeof(double);
+    return b;
+  }
 
  private:
   std::vector<ChunkSlot> slots_;
@@ -278,13 +281,11 @@ struct SolveWorkspace {
   std::vector<Vec3> grad_sorted;
   // Near-field per-chunk write windows.
   NearFieldScratch near_scratch;
-  // Per-chunk scratch for the translation phases.
+  // Per-chunk gather scratch for the translation phases.
   ChunkArena arena;
-  // Zero-padded far-field copy for the non-supernode interactive phase.
-  std::vector<double> pad;
-  // Sparse executor state: occupied leaf flats (sort output, in sort-rank
-  // = Morton order) and the derived active-box level sets. Rebuilt per
-  // solve (particles move), buffers reused — a warm sparse solve grows
+  // Uniform-leaf executor state: occupied leaf flats (sort output, in
+  // sort-rank = Morton order) and the derived active-box level sets.
+  // Rebuilt per solve (particles move), buffers reused — a warm solve grows
   // nothing here.
   std::vector<std::uint32_t> occupied;
   tree::ActiveLevels active;
@@ -319,20 +320,18 @@ struct SolveWorkspace {
 
   void begin_solve() { allocs.store(0, std::memory_order_relaxed); }
 
-  // Grows the level stores for levels 0..depth and zeroes them. Dense
-  // stores hold every box, [level][flat_box * K + i]; with active sets
-  // `act` they hold only the active boxes, [level][active_index * K + i] —
-  // the sparse path's memory win, |active_l| * K instead of 8^l * K.
-  void prepare_levels(int depth, std::size_t k,
-                      const tree::ActiveLevels* act = nullptr) {
-    if (far.size() < static_cast<std::size_t>(depth) + 1) {
+  // Grows the level stores of the active boxes of every level of `act` and
+  // zeroes them: [level][active_index * K + i], |active_l| * K values per
+  // level instead of the full grid's 8^l * K.
+  void prepare_levels(const tree::ActiveLevels& act, std::size_t k) {
+    const std::size_t levels = static_cast<std::size_t>(act.depth) + 1;
+    if (far.size() < levels) {
       allocs.fetch_add(1, std::memory_order_relaxed);
-      far.resize(depth + 1);
-      local.resize(depth + 1);
+      far.resize(levels);
+      local.resize(levels);
     }
-    for (int l = 0; l <= depth; ++l) {
-      const std::size_t boxes = act != nullptr ? act->levels[l].count()
-                                               : std::size_t{1} << (3 * l);
+    for (std::size_t l = 0; l < levels; ++l) {
+      const std::size_t boxes = act.levels[l].count();
       grow(far[l], boxes * k, allocs);
       grow(local[l], boxes * k, allocs);
       std::fill(far[l].begin(), far[l].end(), 0.0);
@@ -341,7 +340,7 @@ struct SolveWorkspace {
   }
 
   // Heap footprint (capacities) of the buffers a solve touches; reported as
-  // FmmResult::workspace_bytes so benchmarks can compare dense vs sparse.
+  // FmmResult::workspace_bytes so benchmarks can compare executors.
   std::size_t workspace_bytes() const {
     auto cap = [](const auto& v) {
       return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
@@ -349,7 +348,7 @@ struct SolveWorkspace {
     std::size_t total = 0;
     for (const auto& v : far) total += cap(v);
     for (const auto& v : local) total += cap(v);
-    total += cap(phi_sorted) + cap(grad_sorted) + cap(pad);
+    total += cap(phi_sorted) + cap(grad_sorted) + arena.capacity_bytes();
     total += cap(occupied) + cap(leaf_cost) + cap(near_cost) + cap(near_pos);
     total += active.capacity_bytes();
     total += cap(leaf_counts) + cap(leaf_bounds) + cap(pair_begin) +
@@ -377,13 +376,6 @@ struct SolveWorkspace {
   }
 };
 
-// Leaf occupancy (fraction of non-empty leaf boxes) below which
-// HierarchyMode::kAuto selects the sparse active-box path: the
-// shared-memory dispatch picks the sparse executor, the data-parallel
-// executor masks its multigrid moves. Dense (near-)uniform inputs keep the
-// dense path and its exact bit patterns.
-inline constexpr double kSparseOccupancy = 0.9;
-
 // Rebuilds the active level sets ws.active from ws.occupied, unless an
 // incremental step flipped no box empty <-> non-empty and the cached sets
 // still match the sort — a reuse counted on `active`. Defined in
@@ -393,8 +385,8 @@ void refresh_active_levels(const tree::Hierarchy& hier, SolveWorkspace& ws,
 
 // Derives/revalidates the sparse active level sets (ws.active) and the
 // per-leaf cost model (ws.leaf_cost / ws.near_cost / ws.near_pos) from the
-// sort output in ws.boxed/ws.occupied — the "active" phase, shared by the dense,
-// sparse and distributed executors — and records the sets' occupancy
+// sort output in ws.boxed/ws.occupied — the "active" phase, shared by the
+// uniform-leaf and distributed executors — and records the sets' occupancy
 // (level_occupancy, active_boxes, the phase's box counts) on `result`.
 // Reads the step-cache transients to pick between full rebuild,
 // diff-driven patch, and reuse. `periodic` selects wrapped neighbour
@@ -409,8 +401,8 @@ void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
 struct DistState;
 
 // Fills a SolveView from the workspace's sorted buffers; no-op when the
-// caller did not request streaming. Shared by the dense and sparse
-// executors (the DP executor does not stream).
+// caller did not request streaming. Shared by the shared-memory executors
+// (the DP executor does not stream).
 inline void publish_view(const SolveWorkspace& ws, const FmmConfig& config,
                          std::size_t n, SolveView* view) {
   if (view == nullptr || n == 0) return;

@@ -1,25 +1,23 @@
-// Sparse active-box executor (DESIGN.md Section 13).
+// Uniform-leaf active-set executor (DESIGN.md Section 13): every kDense,
+// kSparse and kAuto request in the sequential and threaded modes runs here.
 //
-// The dense executor iterates every box of every level; on clustered
-// distributions most of those boxes are empty — their far fields are exactly
-// zero and their local fields feed no particles. This executor derives
-// per-level ACTIVE sets from the coordinate sort's leaf occupancy (leaf
-// active iff non-empty, internal box active iff any child active) and runs
-// every phase over active indices only:
-//   * level stores shrink from 8^l x K to |active_l| x K values,
+// Per-level ACTIVE sets come from the coordinate sort's leaf occupancy
+// (leaf active iff non-empty, internal box active iff any child active),
+// and every phase runs over active indices only:
+//   * level stores hold |active_l| x K values instead of 8^l x K,
 //   * translation stages skip inactive boxes entirely (their contribution
-//     is exactly 0.0, so skipping them is arithmetic-neutral),
+//     is exactly 0.0, so skipping them is arithmetic-neutral), and batch
+//     the pairs of each gather block into one gemm per matrix — the
+//     paper's BLAS-3 aggregation (Section 3.3.3) without the dense grid,
 //   * the near field and the leaf phases split into cost-weighted chunks
 //     (particle counts / pair counts) instead of equal box counts.
-// Active boxes are not contiguous in the dense grids, so translations apply
-// per box (BLAS-2 gemv) through the dense->active maps; the dense executor
-// remains the BLAS-3 fast path for (near-)uniform inputs — solve() picks
-// between them from the measured leaf occupancy (HierarchyMode::kAuto).
+// On a fully occupied (uniform) input the active sets are the whole grid.
 //
-// Reproducibility: active lists are ascending flat indices, stage chunk
-// splits are fixed before the graph runs, and per-box source application
-// follows the same fixed offset order as the dense path — results do not
-// depend on scheduling or worker count.
+// Reproducibility: active lists are ascending flat indices, chunk splits
+// are fixed before the graph runs, each target receives its translations
+// in a fixed matrix order, and a gathered product row's bits do not depend
+// on its slab position (sparse_chunks.hpp) — results do not depend on
+// scheduling or worker count.
 
 #include <algorithm>
 #include <vector>
@@ -62,8 +60,8 @@ void internal::refresh_active_levels(const tree::Hierarchy& hier,
 }
 
 // Derives the active level sets and the per-leaf cost model (the "active"
-// phase), shared by the dense, sparse and distributed executors: particle
-// counts weight the sparse leaf stages, near-field pair counts weight the
+// phase), shared by the uniform-leaf and distributed executors: particle
+// counts weight the leaf stages, near-field pair counts weight the
 // near-field chunks (and the distributed partitioner). Both reuse workspace
 // buffers — a warm solve grows nothing here. On an incremental step
 // (ws.step.cur_incremental) the sort diff drives what gets rebuilt: nothing
@@ -174,7 +172,6 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
   const FmmPlan& plan = *impl_->plan;
   SolveWorkspace& ws = impl_->ws;
   const std::size_t n = particles.size();
-  const std::size_t k = config_.params.k();
   const int h = hier.depth();
 
   // The "active" phase. Periodic short-range solves wrap box neighbours, so
@@ -190,9 +187,7 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
   ActiveContext ctx{config_, plan, hier, ws, act};
   internal::PipelineStages st;
   st.far_depth = h;
-  st.leaves = act.levels[h].count();
   st.leaf_cost = ws.leaf_cost;
-  st.prepare_levels = [&] { ws.prepare_levels(act.depth, k, &act); };
   const std::span<const std::uint32_t> leaf_list{act.levels[h].boxes};
   st.p2m = [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& s) {
     internal::p2m_leaves(config_, hier, ws, leaf_list, lo, hi, s);

@@ -108,14 +108,22 @@ std::vector<std::size_t> weighted_split(
   std::size_t i = 0;
   long double acc = 0;
   for (std::size_t c = 0; c + 1 < chunks; ++c) {
-    // Close the chunk at the first item that reaches its prefix target,
-    // keeping at least one item in it and one per remaining chunk.
+    // Close the chunk at whichever end nearer its prefix target: the first
+    // item that reaches the target, or the one before it. Every chunk keeps
+    // at least one item, and leaves one per remaining chunk.
     const long double target = per * static_cast<long double>(c + 1);
     const std::size_t min_i = bounds.back() + 1;
     const std::size_t max_i = n - (chunks - 1 - c);
     while (i < max_i && (i < min_i || acc < target)) {
       acc += static_cast<long double>(weights[i]);
       ++i;
+    }
+    if (i > min_i && acc >= target) {
+      const long double before = acc - static_cast<long double>(weights[i - 1]);
+      if (target - before < acc - target) {
+        acc = before;
+        --i;
+      }
     }
     bounds.push_back(i);
   }

@@ -174,8 +174,8 @@ TEST(GemmBatchTest, StridedInstancesWithDistinctB) {
 }
 
 TEST(GemmBatchTest, StridedLeadingDimensionInstances) {
-  // The solver's supernode kGemmBatch shape: A rows spaced lda = 2k apart
-  // (stride-2 child geometry), C rows spaced ldc = 2k, shared B.
+  // A stride-2 child geometry as instances: A rows spaced lda = 2k apart,
+  // C rows spaced ldc = 2k, shared B.
   const std::size_t m = 4, n = 3, k = 3, count = 2;
   const std::size_t lda = 2 * k, ldc = 2 * k;
   const auto a = random_matrix(count * m, lda, 43);

@@ -50,8 +50,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          ExecutionMode::kThreads,
                                          ExecutionMode::kDataParallel),
                        ::testing::Values(AggregationMode::kGemv,
-                                         AggregationMode::kGemm,
-                                         AggregationMode::kGemmBatch)),
+                                         AggregationMode::kGemm)),
     [](const auto& info) {
       std::string s = std::string(to_string(std::get<0>(info.param))) + "_" +
                       to_string(std::get<1>(info.param));
@@ -82,8 +81,7 @@ TEST(FmmSolverTest, AggregationModesAgreeExactlyInStructure) {
   const ParticleSet p = make_uniform(700, Box3{}, 63);
   std::vector<std::vector<double>> results;
   for (const AggregationMode agg :
-       {AggregationMode::kGemv, AggregationMode::kGemm,
-        AggregationMode::kGemmBatch}) {
+       {AggregationMode::kGemv, AggregationMode::kGemm}) {
     FmmConfig cfg = base_config();
     cfg.aggregation = agg;
     FmmSolver solver(cfg);
@@ -152,8 +150,7 @@ TEST_P(SupernodeAggregation, AgreesWithPlainSolverAndAcrossModes) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, SupernodeAggregation,
                          ::testing::Values(AggregationMode::kGemv,
-                                           AggregationMode::kGemm,
-                                           AggregationMode::kGemmBatch),
+                                           AggregationMode::kGemm),
                          [](const auto& info) {
                            std::string s = to_string(info.param);
                            for (char& c : s)
@@ -166,7 +163,7 @@ TEST(FmmSolverTest, SupernodeDeepHierarchyStaysAccurate) {
   FmmConfig cfg;
   cfg.depth = 4;
   cfg.supernodes = true;
-  cfg.aggregation = AggregationMode::kGemmBatch;
+  cfg.aggregation = AggregationMode::kGemm;
   const ParticleSet p = make_uniform(3000, Box3{}, 79);
   EXPECT_LT(solve_and_compare(cfg, p), 3e-3);
 }

@@ -73,8 +73,7 @@ TEST_P(ReuseModes, DeterministicAcrossAggregationModes) {
   const ParticleSet p = make_uniform(1200, Box3{}, 57);
   for (const HierarchyMode hm : kHierarchies) {
     for (const AggregationMode agg :
-         {AggregationMode::kGemv, AggregationMode::kGemm,
-          AggregationMode::kGemmBatch}) {
+         {AggregationMode::kGemv, AggregationMode::kGemm}) {
       for (const bool sn : {false, true}) {
         FmmConfig cfg = config(hm);
         cfg.aggregation = agg;
@@ -216,9 +215,9 @@ TEST(ClusteredReuse, WarmSparseSolveBitwiseIdenticalClustered) {
 }
 
 TEST(ClusteredReuse, AlternatingDistributionsKeepWarmPathClustered) {
-  // Alternating uniform (dense path) and Plummer (sparse path) solves on
-  // one solver: each must reproduce its own bits, and after the first
-  // round-trip neither grows the workspace further.
+  // Alternating uniform (every box active) and Plummer (sparse active sets)
+  // solves on one solver: each must reproduce its own bits, and after the
+  // first round-trip neither grows the workspace further.
   FmmConfig cfg = base_config(ExecutionMode::kThreads);
   cfg.depth = 3;
   FmmSolver solver(cfg);
@@ -226,7 +225,6 @@ TEST(ClusteredReuse, AlternatingDistributionsKeepWarmPathClustered) {
   const ParticleSet c = make_plummer(2000, Box3{}, 31);
   const FmmResult u1 = solver.solve(u);
   const FmmResult c1 = solver.solve(c);
-  EXPECT_FALSE(u1.sparse);
   EXPECT_TRUE(c1.sparse);
   const FmmResult u2 = solver.solve(u);
   const FmmResult c2 = solver.solve(c);

@@ -179,6 +179,14 @@ TEST(WeightedSplitTest, SkewedWeightsBalanceCost) {
   EXPECT_LE(chunk_of_3, 4u);
 }
 
+TEST(WeightedSplitTest, ClosesAtTheNearerEnd) {
+  // The first of two chunks has prefix target 10, and the heavy third item
+  // crosses it. Closing after that item gives costs 16 | 4; closing before
+  // it gives 6 | 14, whose end is nearer the target.
+  const std::vector<std::uint64_t> w{3, 3, 10, 1, 1, 1, 1};
+  EXPECT_EQ(exec::weighted_split(w, 2), (std::vector<std::size_t>{0, 2, 7}));
+}
+
 TEST(WeightedSplitTest, ZeroWeightsStillCoverRange) {
   const std::vector<std::uint64_t> w(7, 0);
   const auto b = exec::weighted_split(w, 3);
@@ -328,17 +336,42 @@ void expect_close(const core::FmmResult& a, const core::FmmResult& b,
   }
 }
 
+// The independent references of a uniform-leaf solve `r` of `cfg`: the
+// same request with per-pair kGemv translations, to the 1e-11 at which the
+// aggregation forms agree, and the data-parallel executor, which keeps its
+// own dense loops, to the 1e-9 of FmmSolverTest.AllModesAgreeWithEachOther.
+// The data-parallel executor has no supernode translations, so it checks
+// the plain form of the request.
+void expect_matches_references(const ParticleSet& p, core::FmmConfig cfg,
+                               const core::FmmResult& r) {
+  ASSERT_EQ(cfg.aggregation, core::AggregationMode::kGemm);
+  cfg.aggregation = core::AggregationMode::kGemv;
+  {
+    SCOPED_TRACE("kGemv reference");
+    expect_close(core::FmmSolver(cfg).solve(p), r, 1e-11);
+  }
+  cfg.aggregation = core::AggregationMode::kGemm;
+  cfg.supernodes = false;
+  const core::FmmResult plain = core::FmmSolver(cfg).solve(p);
+  cfg.mode = core::ExecutionMode::kDataParallel;
+  {
+    SCOPED_TRACE("data-parallel reference");
+    expect_close(core::FmmSolver(cfg).solve(p), plain, 1e-9);
+  }
+}
+
 TEST(SparseSolveTest, AutoStaysDenseAndBitwiseOnUniform) {
-  // A fully occupied uniform input must keep the dense path under kAuto —
-  // and therefore reproduce the dense executor's bits exactly.
+  // kAuto and kDense requests run the one uniform-leaf executor, so on a
+  // fully occupied uniform input they give the same bits.
   const ParticleSet p = make_uniform(4000, Box3{}, 11);
   core::FmmSolver dense(sparse_config(core::HierarchyMode::kDense, 3));
   core::FmmSolver auto_s(sparse_config(core::HierarchyMode::kAuto, 3));
   const core::FmmResult rd = dense.solve(p);
   const core::FmmResult ra = auto_s.solve(p);
-  EXPECT_FALSE(ra.sparse);
   EXPECT_TRUE(bitwise_equal(rd.phi, ra.phi));
   EXPECT_EQ(rd.active_boxes, ra.active_boxes);
+  expect_matches_references(p, sparse_config(core::HierarchyMode::kAuto, 3),
+                            ra);
 }
 
 TEST(SparseSolveTest, AutoSelectsSparseOnPlummer) {
@@ -358,21 +391,20 @@ TEST(SparseSolveTest, ForcedSparseMatchesDenseUniform) {
   const core::FmmResult rd = dense.solve(p);
   const core::FmmResult rs = sparse.solve(p);
   EXPECT_TRUE(rs.sparse);
-  expect_close(rd, rs, 1e-11);
+  EXPECT_TRUE(bitwise_equal(rd.phi, rs.phi));
+  expect_matches_references(p, sparse_config(core::HierarchyMode::kSparse, 3),
+                            rs);
 }
 
 TEST(SparseSolveTest, SparseMatchesDenseOnClustered) {
   for (const std::uint64_t seed : {21u, 22u}) {
     const ParticleSet p = seed == 21u ? make_plummer(3000, Box3{}, seed)
                                       : make_two_clusters(3000, Box3{}, seed);
-    core::FmmSolver dense(sparse_config(core::HierarchyMode::kDense, 4));
-    core::FmmSolver sparse(sparse_config(core::HierarchyMode::kSparse, 4));
-    const core::FmmResult rd = dense.solve(p);
-    const core::FmmResult rs = sparse.solve(p);
+    const core::FmmConfig cfg = sparse_config(core::HierarchyMode::kSparse, 4);
+    const core::FmmResult rs = core::FmmSolver(cfg).solve(p);
     EXPECT_TRUE(rs.sparse);
-    EXPECT_LT(rs.active_boxes, rd.active_boxes);
-    EXPECT_LT(rs.workspace_bytes, rd.workspace_bytes);
-    expect_close(rd, rs, 1e-11);
+    EXPECT_LT(rs.active_boxes, 4096u + 512 + 64 + 8 + 1);
+    expect_matches_references(p, cfg, rs);
   }
 }
 
@@ -395,9 +427,7 @@ TEST(SparseSolveTest, AlmostAllParticlesInOneLeaf) {
   // At most 3 active boxes per level (cluster leaf may straddle at most a
   // couple of leaves; the anchors add one each), far below the dense 585.
   EXPECT_LE(rs.active_boxes, 4u * 3u);
-  cfg.hierarchy = core::HierarchyMode::kDense;
-  core::FmmSolver dense(cfg);
-  expect_close(dense.solve(p), rs, 1e-11);
+  expect_matches_references(p, cfg, rs);
 }
 
 TEST(SparseSolveTest, WarmSparseSolveBitwiseAndZeroGrowth) {
@@ -414,21 +444,32 @@ TEST(SparseSolveTest, WarmSparseSolveBitwiseAndZeroGrowth) {
 }
 
 TEST(SparseSolveTest, SequentialAndThreadedSparseAgreeBitwise) {
-  // The near-field split depends on the problem only, so one worker and
-  // the whole pool give the same bits on both uniform-leaf executors.
-  const ParticleSet p = make_plummer(2000, Box3{}, 16);
-  for (const core::HierarchyMode mode :
-       {core::HierarchyMode::kDense, core::HierarchyMode::kSparse}) {
-    SCOPED_TRACE(mode == core::HierarchyMode::kDense ? "dense" : "sparse");
-    core::FmmConfig cfg = sparse_config(mode, 4);
-    cfg.mode = core::ExecutionMode::kSequential;
-    core::FmmSolver seq(cfg);
-    cfg.mode = core::ExecutionMode::kThreads;
-    core::FmmSolver thr(cfg);
-    const core::FmmResult rs = seq.solve(p);
-    const core::FmmResult rt = thr.solve(p);
-    EXPECT_TRUE(bitwise_equal(rs.phi, rt.phi));
-    EXPECT_TRUE(bitwise_equal(rs.grad, rt.grad));
+  // The near-field split depends on the problem only, and a gathered
+  // translation's bits do not depend on the far stages' worker-count
+  // split, so one worker and the whole pool give the same bits under
+  // either aggregation form, with and without supernodes.
+  for (const bool plummer : {false, true}) {
+    const ParticleSet p = plummer ? make_plummer(2000, Box3{}, 16)
+                                  : make_uniform(2000, Box3{}, 16);
+    for (const core::AggregationMode agg :
+         {core::AggregationMode::kGemv, core::AggregationMode::kGemm}) {
+      for (const bool sn : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (plummer ? "plummer " : "uniform ")
+                     << core::to_string(agg) << " supernodes=" << sn);
+        core::FmmConfig cfg = sparse_config(core::HierarchyMode::kSparse, 4);
+        cfg.aggregation = agg;
+        cfg.supernodes = sn;
+        cfg.mode = core::ExecutionMode::kSequential;
+        core::FmmSolver seq(cfg);
+        cfg.mode = core::ExecutionMode::kThreads;
+        core::FmmSolver thr(cfg);
+        const core::FmmResult rs = seq.solve(p);
+        const core::FmmResult rt = thr.solve(p);
+        EXPECT_TRUE(bitwise_equal(rs.phi, rt.phi));
+        EXPECT_TRUE(bitwise_equal(rs.grad, rt.grad));
+      }
+    }
   }
 }
 
@@ -646,7 +687,7 @@ TEST(SparseSolveTest, NearFieldCostImbalanceReported) {
 //     list, kNearChunks = 16 Morton chunks of equal leaf count) the chunks
 //     write 4.48 N particles in all, 32 B each (phi + gradient); 1.5x slack
 //     covers the cost-weighted split and the random occupancy;
-//   * tree-sized buffers (level stores, padded grid, active sets; for the
+//   * tree-sized buffers (level stores, gather slabs, active sets; for the
 //     adaptive executor also the depth-6 refinement maps and the ncrit
 //     ladder's fronts): 1 MB, 8 MB adaptive.
 // At N = 20000 that is 6.7 MB (adaptive 13.7 MB). Measured: 5.8 / 5.3 /

@@ -461,15 +461,18 @@ TEST(VdwSolveTest, SequentialAndThreadedBitwiseIdentical) {
 }
 
 TEST(VdwSolveTest, DenseAndSparseHierarchiesIdentical) {
+  // Both requests run the one uniform-leaf executor; brute force is the
+  // independent reference.
   std::vector<std::int32_t> type;
   const ParticleSet ps = typed_uniform(400, 31, type, 2);
   core::FmmConfig dense = vdw_config(false);
   dense.hierarchy = core::HierarchyMode::kDense;
   core::FmmConfig sparse = vdw_config(false);
   sparse.hierarchy = core::HierarchyMode::kSparse;
+  expect_solve_matches_brute_force(dense, ps, type);
   const core::FmmResult a = core::FmmSolver(dense).solve(ps);
   const core::FmmResult b = core::FmmSolver(sparse).solve(ps);
-  EXPECT_FALSE(a.sparse);
+  EXPECT_TRUE(a.sparse);
   EXPECT_TRUE(b.sparse);
   ASSERT_EQ(a.phi.size(), b.phi.size());
   EXPECT_EQ(0, std::memcmp(a.phi.data(), b.phi.data(),

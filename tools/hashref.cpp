@@ -103,7 +103,7 @@ static void print_incremental(const char* label, int mode,
 int main() {
   const ParticleSet p = make_uniform(3000, Box3{}, 17);
   for (int mode = 0; mode < 3; ++mode) {
-    for (int agg = 0; agg < 3; ++agg) {
+    for (int agg = 0; agg < 2; ++agg) {
       for (int sn = 0; sn < 2; ++sn) {
         for (int sym = 0; sym < 2; ++sym) {
           core::FmmConfig cfg;
