@@ -23,16 +23,11 @@ void gemv(const double* a, std::size_t lda, const double* x, double* y,
           std::size_t m, std::size_t n, bool accumulate);
 
 /// C (+)= A B.  A: m x k (lda), B: k x n (ldb), C: m x n (ldc), row-major.
+/// Each row of C depends only on its own row of A and on B (every tile runs
+/// the same micro-kernel), so its bits do not depend on its position in A.
 void gemm(const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, std::size_t m, std::size_t n,
           std::size_t k, bool accumulate);
-
-/// Rows of C per gemm micro-kernel tile. Rows inside whole tiles take the
-/// micro-kernel, whose result for a row depends only on that row of A and
-/// on B; a partial last tile takes a scalar loop that rounds differently.
-/// A caller that pads A with zero rows to a multiple of this count gets
-/// product rows whose bits do not depend on their position in A.
-inline constexpr std::size_t kGemmRowTile = 4;
 
 /// Multiple-instance gemm: `count` independent products with the SAME shape,
 /// each instance i using a + i*stride_a etc. Matches the CMSSL

@@ -1,7 +1,7 @@
 #pragma once
 // Internal machinery shared by the kernel backends: aligned thread-local
-// packing scratch, B panel packing, edge handling, and the blocked gemm /
-// gemm_batch drivers templated on the 4x8 micro-kernel. Not installed.
+// packing scratch, B panel packing, partial-tile staging, and the blocked
+// gemm / gemm_batch drivers templated on the 4x8 micro-kernel. Not installed.
 
 #include <cstddef>
 #include <cstdlib>
@@ -11,8 +11,7 @@
 
 namespace hfmm::blas::detail {
 
-// Rows of C per micro-kernel call (the public row tile).
-inline constexpr std::size_t kMR = kGemmRowTile;
+inline constexpr std::size_t kMR = 4;  // rows of C per micro-kernel call
 inline constexpr std::size_t kNR = 8;  // columns of C per micro-kernel call
 
 /// 64-byte-aligned thread-local scratch, grown geometrically and reused
@@ -57,62 +56,54 @@ inline void pack_b_panels(const double* b, std::size_t ldb, std::size_t k,
   }
 }
 
-/// Edge fallback for partial tiles (mr < kMR or nr < kNR): scalar loop over
-/// the packed panel. O(m + n) of the work, so speed is irrelevant here.
-inline void gemm_edge(const double* a, std::size_t lda, const double* bp,
-                      double* c, std::size_t ldc, std::size_t mr,
-                      std::size_t nr, std::size_t k, bool accumulate) {
-  for (std::size_t i = 0; i < mr; ++i) {
-    const double* arow = a + i * lda;
-    double acc[kNR] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (std::size_t p = 0; p < k; ++p) {
-      const double v = arow[p];
-      const double* brow = bp + p * kNR;
-      for (std::size_t j = 0; j < kNR; ++j) acc[j] += v * brow[j];
-    }
-    double* crow = c + i * ldc;
-    if (accumulate)
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += acc[j];
-    else
-      for (std::size_t j = 0; j < nr; ++j) crow[j] = acc[j];
-  }
-}
-
 /// Blocked multiply over an already-packed B. `Micro::run` computes one full
 /// kMR x kNR tile of C with accumulators held in registers for the whole k
-/// loop. Partial-width tiles still run the full micro-kernel (the panel is
-/// zero-padded) into an aligned staging tile, merged column-wise after; only
-/// the < kMR row tail drops to the scalar edge loop.
+/// loop. Partial tiles run the same micro-kernel into an aligned staging
+/// tile that is merged into C after: a partial-width tile reads the
+/// zero-padded panel, and the < kMR row tail is first copied into the
+/// zero-padded A staging tile `as` (kMR x k). So each row of C depends only
+/// on its own row of A and on B, not on its position in A.
 template <class Micro>
 void gemm_packed(const double* a, std::size_t lda, const double* bp,
-                 double* c, std::size_t ldc, std::size_t m, std::size_t n,
-                 std::size_t k, bool accumulate) {
+                 double* as, double* c, std::size_t ldc, std::size_t m,
+                 std::size_t n, std::size_t k, bool accumulate) {
+  const std::size_t full = m / kMR * kMR;
+  if (full < m) {
+    std::memset(as, 0, kMR * k * sizeof(double));
+    for (std::size_t r = 0; r < m - full; ++r)
+      std::memcpy(as + r * k, a + (full + r) * lda, k * sizeof(double));
+  }
+  alignas(64) double tile[kMR * kNR];
+  const auto staged = [&](const double* arow, std::size_t ld,
+                          const double* panel, double* crow0, std::size_t mr,
+                          std::size_t nr) {
+    Micro::run(arow, ld, panel, tile, kNR, k, false);
+    for (std::size_t r = 0; r < mr; ++r) {
+      double* crow = crow0 + r * ldc;
+      const double* trow = tile + r * kNR;
+      if (accumulate)
+        for (std::size_t j = 0; j < nr; ++j) crow[j] += trow[j];
+      else
+        for (std::size_t j = 0; j < nr; ++j) crow[j] = trow[j];
+    }
+  };
   for (std::size_t jp = 0; jp < n; jp += kNR) {
     const std::size_t nr = (n - jp < kNR) ? (n - jp) : kNR;
     const double* panel = bp + jp * k;
-    std::size_t i = 0;
-    if (nr == kNR) {
-      for (; i + kMR <= m; i += kMR)
+    for (std::size_t i = 0; i < full; i += kMR) {
+      if (nr == kNR)
         Micro::run(a + i * lda, lda, panel, c + i * ldc + jp, ldc, k,
                    accumulate);
-    } else {
-      alignas(64) double tile[kMR * kNR];
-      for (; i + kMR <= m; i += kMR) {
-        Micro::run(a + i * lda, lda, panel, tile, kNR, k, false);
-        for (std::size_t r = 0; r < kMR; ++r) {
-          double* crow = c + (i + r) * ldc + jp;
-          const double* trow = tile + r * kNR;
-          if (accumulate)
-            for (std::size_t j = 0; j < nr; ++j) crow[j] += trow[j];
-          else
-            for (std::size_t j = 0; j < nr; ++j) crow[j] = trow[j];
-        }
-      }
+      else
+        staged(a + i * lda, lda, panel, c + i * ldc + jp, kMR, nr);
     }
-    if (i < m)
-      gemm_edge(a + i * lda, lda, panel, c + i * ldc + jp, ldc, m - i, nr, k,
-                accumulate);
+    if (full < m) staged(as, k, panel, c + full * ldc + jp, m - full, nr);
   }
+}
+
+/// Packing scratch of one product: the B panels, then the A staging tile.
+inline double* gemm_scratch(std::size_t n, std::size_t k) {
+  return packed_scratch((padded_n(n) + kMR) * (k > 0 ? k : 1));
 }
 
 template <class Micro>
@@ -120,9 +111,10 @@ void gemm_driver(const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
                  std::size_t n, std::size_t k, bool accumulate) {
   if (m == 0 || n == 0) return;
-  double* bp = packed_scratch(padded_n(n) * (k > 0 ? k : 1));
+  double* bp = gemm_scratch(n, k);
   pack_b_panels(b, ldb, k, n, bp);
-  gemm_packed<Micro>(a, lda, bp, c, ldc, m, n, k, accumulate);
+  gemm_packed<Micro>(a, lda, bp, bp + padded_n(n) * k, c, ldc, m, n, k,
+                     accumulate);
 }
 
 /// Multiple-instance driver: when every instance shares one B (stride_b ==
@@ -136,11 +128,11 @@ void gemm_batch_driver(const double* a, std::size_t lda, std::size_t stride_a,
                        std::size_t count, bool accumulate) {
   if (m == 0 || n == 0 || count == 0) return;
   if (stride_b == 0) {
-    double* bp = packed_scratch(padded_n(n) * (k > 0 ? k : 1));
+    double* bp = gemm_scratch(n, k);
     pack_b_panels(b, ldb, k, n, bp);
     for (std::size_t inst = 0; inst < count; ++inst)
-      gemm_packed<Micro>(a + inst * stride_a, lda, bp, c + inst * stride_c,
-                         ldc, m, n, k, accumulate);
+      gemm_packed<Micro>(a + inst * stride_a, lda, bp, bp + padded_n(n) * k,
+                         c + inst * stride_c, ldc, m, n, k, accumulate);
   } else {
     for (std::size_t inst = 0; inst < count; ++inst)
       gemm_driver<Micro>(a + inst * stride_a, lda, b + inst * stride_b, ldb,

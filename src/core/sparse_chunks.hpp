@@ -18,7 +18,6 @@
 // uniform-leaf executor and the distributed ranks pass no leaf flags.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -142,20 +141,20 @@ inline void l2p_leaves(const FmmConfig& config, const tree::Hierarchy& hier,
 }
 
 // Gather blocks of the translation stages (DESIGN.md Section 9): each
-// stage walks its targets in blocks of kGatherBlock, and for every matrix
-// applies all of the block's (source row -> target row) pairs at once. The
-// blocks bound the chunk's gather slabs at kGatherBlock x K doubles each.
+// stage walks its targets in blocks of at most kGatherBlock, and for every
+// matrix applies all of the block's (source row -> target row) pairs at
+// once. The blocks bound the chunk's gather slabs at kGatherBlock x K
+// doubles each.
 inline constexpr std::size_t kGatherBlock = 512;
 
 // Applies translation matrices to blocks of one stage's targets, in the
 // scratch slot of the stage chunk. kGemv applies each pair as one gemv.
 // kGemm gathers the block's source rows into the slot's slab, runs one gemm
-// and scatter-adds the product rows into their targets. The slab is padded
-// with zero rows to whole gemm row tiles, so every product row comes out of
-// the full micro-kernel and its bits depend only on its own source row —
-// not on where it lands in the slab, and so not on the stage's chunk split
-// or on which targets a distributed rank owns. A target receives its
-// matrices in the order its stage applies them, under either mode.
+// and scatter-adds the product rows into their targets. A gemm product row
+// depends only on its own source row, not on where it lands in the slab,
+// and so not on the stage's chunk split or on which targets a distributed
+// rank owns. A target receives its matrices in the order its stage applies
+// them, under either mode.
 class BlockTranslator {
  public:
   BlockTranslator(ActiveContext& ctx, std::size_t chunk)
@@ -170,34 +169,36 @@ class BlockTranslator {
     }
   }
 
-  // Runs block(b0, b1) over [lo, hi) in gather blocks.
+  // Runs block(targets) over [lo, hi) in ascending gather blocks.
   template <class Block>
-  static void for_each_block(std::size_t lo, std::size_t hi, Block&& block) {
-    for (std::size_t b0 = lo; b0 < hi; b0 += kGatherBlock)
-      block(b0, std::min(hi, b0 + kGatherBlock));
+  void for_each_block(std::size_t lo, std::size_t hi, Block&& block) {
+    for (std::size_t b0 = lo; b0 < hi; b0 += kGatherBlock) {
+      const std::size_t b1 = std::min(hi, b0 + kGatherBlock);
+      for (std::size_t t = b0; t < b1; ++t)
+        slot_.targets[t - b0] = static_cast<std::uint32_t>(t);
+      block(std::span<const std::uint32_t>{slot_.targets.data(), b1 - b0});
+    }
   }
 
-  // The targets [b0, b1) in ascending order.
-  std::span<const std::uint32_t> targets(std::size_t b0, std::size_t b1) {
-    for (std::size_t t = b0; t < b1; ++t)
-      slot_.targets[t - b0] = static_cast<std::uint32_t>(t);
-    return {slot_.targets.data(), b1 - b0};
-  }
-
-  // The targets [b0, b1) grouped by octant(t), each group ascending; group
-  // o is [bounds[o], bounds[o + 1]) of the returned list.
-  template <class Octant>
-  std::span<const std::uint32_t> by_octant(std::size_t b0, std::size_t b1,
-                                           Octant&& octant,
-                                           std::array<std::size_t, 9>& bounds) {
-    bounds.fill(0);
-    for (std::size_t t = b0; t < b1; ++t) ++bounds[octant(t) + 1];
-    for (int o = 0; o < 8; ++o) bounds[o + 1] += bounds[o];
-    std::array<std::size_t, 8> at;
-    std::copy(bounds.begin(), bounds.end() - 1, at.begin());
-    for (std::size_t t = b0; t < b1; ++t)
-      slot_.targets[at[octant(t)]++] = static_cast<std::uint32_t>(t);
-    return {slot_.targets.data(), b1 - b0};
+  // Runs block(o, targets) for each octant o = 0..7 over the targets t of
+  // [lo, hi) with octant(t) == o, ascending, in gather blocks. Grouping the
+  // whole chunk (not each block) keeps the per-octant gemms long.
+  template <class Octant, class Block>
+  void for_each_octant_block(std::size_t lo, std::size_t hi, Octant&& octant,
+                             Block&& block) {
+    for (int o = 0; o < 8; ++o) {
+      std::size_t n = 0;
+      for (std::size_t t = lo; t < hi; ++t) {
+        if (octant(t) != o) continue;
+        slot_.targets[n++] = static_cast<std::uint32_t>(t);
+        if (n == kGatherBlock) {
+          block(o, std::span<const std::uint32_t>{slot_.targets.data(), n});
+          n = 0;
+        }
+      }
+      if (n > 0)
+        block(o, std::span<const std::uint32_t>{slot_.targets.data(), n});
+    }
   }
 
   // Adds m applied to source(t) into row t of `dst` for every target t of
@@ -224,11 +225,8 @@ class BlockTranslator {
       slot_.rows[rows++] = t;
     }
     if (rows == 0) return;
-    const std::size_t tile = blas::kGemmRowTile;
-    const std::size_t padded = (rows + tile - 1) / tile * tile;
-    std::fill(slab + rows * k, slab + padded * k, 0.0);
     double* out = slot_.out.data();
-    blas::gemm(slab, k, m.tt.data(), k, out, k, padded, k, k, false);
+    blas::gemm(slab, k, m.tt.data(), k, out, k, rows, k, k, false);
     for (std::size_t r = 0; r < rows; ++r) {
       const double* o = out + r * k;
       double* d = dst + static_cast<std::size_t>(slot_.rows[r]) * k;
@@ -262,8 +260,7 @@ inline void upward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
   const tree::LevelActiveSet& children = ctx.act.levels[l + 1];
   const double* child = ctx.ws.far[l + 1].data();
   BlockTranslator tr(ctx, chunk);
-  BlockTranslator::for_each_block(lo, hi, [&](std::size_t b0, std::size_t b1) {
-    const std::span<const std::uint32_t> block = tr.targets(b0, b1);
+  tr.for_each_block(lo, hi, [&](std::span<const std::uint32_t> block) {
     for (int o = 0; o < 8; ++o)
       tr.apply(ctx.trans().t1[o], block, ctx.ws.far[l].data(),
                [&](std::uint32_t pi) -> const double* {
@@ -291,21 +288,18 @@ inline void downward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
     return ctx.hier.coord_of(l, children.boxes[ci]);
   };
   BlockTranslator tr(ctx, chunk);
-  BlockTranslator::for_each_block(lo, hi, [&](std::size_t b0, std::size_t b1) {
-    std::array<std::size_t, 9> at;
-    const std::span<const std::uint32_t> block = tr.by_octant(
-        b0, b1,
-        [&](std::size_t ci) { return tree::Hierarchy::octant_of(coord(ci)); },
-        at);
-    for (int o = 0; o < 8; ++o)
-      tr.apply(ctx.trans().t3[o], block.subspan(at[o], at[o + 1] - at[o]),
-               ctx.ws.local[l].data(), [&](std::uint32_t ci) {
-                 const std::int32_t pa =
-                     parents.dense_to_active[ctx.hier.flat_index(
-                         l - 1, tree::Hierarchy::parent_of(coord(ci)))];
-                 return parent + static_cast<std::size_t>(pa) * k;
-               });
-  });
+  tr.for_each_octant_block(
+      lo, hi,
+      [&](std::size_t ci) { return tree::Hierarchy::octant_of(coord(ci)); },
+      [&](int o, std::span<const std::uint32_t> group) {
+        tr.apply(ctx.trans().t3[o], group, ctx.ws.local[l].data(),
+                 [&](std::uint32_t ci) {
+                   const std::int32_t pa =
+                       parents.dense_to_active[ctx.hier.flat_index(
+                           l - 1, tree::Hierarchy::parent_of(coord(ci)))];
+                   return parent + static_cast<std::size_t>(pa) * k;
+                 });
+      });
   tr.report(stats);
 }
 
@@ -321,8 +315,7 @@ inline void interactive_chunk(ActiveContext& ctx, int l, std::size_t chunk,
   const tree::LevelActiveSet& act = ctx.act.levels[l];
   const double* far = ctx.ws.far[l].data();
   BlockTranslator tr(ctx, chunk);
-  BlockTranslator::for_each_block(lo, hi, [&](std::size_t b0, std::size_t b1) {
-    const std::span<const std::uint32_t> block = tr.targets(b0, b1);
+  tr.for_each_block(lo, hi, [&](std::span<const std::uint32_t> block) {
     for (const UnionOffset& u : ctx.trans().union_offsets)
       tr.apply(ctx.trans().t2[tree::offset_cube_index(u.o, d)], block,
                ctx.ws.local[l].data(),
@@ -367,49 +360,41 @@ inline void supernode_chunk(ActiveContext& ctx, int l, std::size_t chunk,
     return ctx.hier.coord_of(l, act.boxes[ti]);
   };
   BlockTranslator tr(ctx, chunk);
-  BlockTranslator::for_each_block(lo, hi, [&](std::size_t b0, std::size_t b1) {
-    std::array<std::size_t, 9> at;
-    const std::span<const std::uint32_t> block = tr.by_octant(
-        b0, b1,
-        [&](std::size_t ti) { return tree::Hierarchy::octant_of(coord(ti)); },
-        at);
-    for (int octant = 0; octant < 8; ++octant) {
-      const std::span<const std::uint32_t> group =
-          block.subspan(at[octant], at[octant + 1] - at[octant]);
-      if (group.empty()) continue;
-      for (const SupernodePlanEntry& pe : plan.per_octant[octant])
-        tr.apply(*pe.matrix, group, ctx.ws.local[l].data(),
-                 [&](std::uint32_t ti) -> const double* {
-                   const tree::BoxCoord c = coord(ti);
-                   const tree::BoxCoord p = tree::Hierarchy::parent_of(c);
-                   if (p.ix < pe.lo[0] || p.ix >= pe.hi[0] ||
-                       p.iy < pe.lo[1] || p.iy >= pe.hi[1] ||
-                       p.iz < pe.lo[2] || p.iz >= pe.hi[2])
-                     return nullptr;
-                   if (pe.parent_source) {
-                     const tree::BoxCoord s{p.ix + pe.offset.dx,
-                                            p.iy + pe.offset.dy,
-                                            p.iz + pe.offset.dz};
-                     const std::int32_t sa =
-                         act_parent.dense_to_active[ctx.hier.flat_index(l - 1,
-                                                                        s)];
-                     if (sa < 0) return nullptr;
-                     // A front leaf's pairs are on the U list.
-                     if (parent_leaf != nullptr &&
-                         (*parent_leaf)[static_cast<std::size_t>(sa)] != 0)
+  tr.for_each_octant_block(
+      lo, hi,
+      [&](std::size_t ti) { return tree::Hierarchy::octant_of(coord(ti)); },
+      [&](int octant, std::span<const std::uint32_t> group) {
+        for (const SupernodePlanEntry& pe : plan.per_octant[octant])
+          tr.apply(*pe.matrix, group, ctx.ws.local[l].data(),
+                   [&](std::uint32_t ti) -> const double* {
+                     const tree::BoxCoord c = coord(ti);
+                     const tree::BoxCoord p = tree::Hierarchy::parent_of(c);
+                     if (p.ix < pe.lo[0] || p.ix >= pe.hi[0] ||
+                         p.iy < pe.lo[1] || p.iy >= pe.hi[1] ||
+                         p.iz < pe.lo[2] || p.iz >= pe.hi[2])
                        return nullptr;
-                     return far_parent + static_cast<std::size_t>(sa) * k;
-                   }
-                   const tree::BoxCoord s{c.ix + pe.offset.dx,
-                                          c.iy + pe.offset.dy,
-                                          c.iz + pe.offset.dz};
-                   const std::int32_t sa =
-                       act.dense_to_active[ctx.hier.flat_index(l, s)];
-                   return sa < 0 ? nullptr
-                                 : far + static_cast<std::size_t>(sa) * k;
-                 });
-    }
-  });
+                     if (pe.parent_source) {
+                       const tree::BoxCoord s{p.ix + pe.offset.dx,
+                                              p.iy + pe.offset.dy,
+                                              p.iz + pe.offset.dz};
+                       const std::int32_t sa = act_parent.dense_to_active[
+                           ctx.hier.flat_index(l - 1, s)];
+                       if (sa < 0) return nullptr;
+                       // A front leaf's pairs are on the U list.
+                       if (parent_leaf != nullptr &&
+                           (*parent_leaf)[static_cast<std::size_t>(sa)] != 0)
+                         return nullptr;
+                       return far_parent + static_cast<std::size_t>(sa) * k;
+                     }
+                     const tree::BoxCoord s{c.ix + pe.offset.dx,
+                                            c.iy + pe.offset.dy,
+                                            c.iz + pe.offset.dz};
+                     const std::int32_t sa =
+                         act.dense_to_active[ctx.hier.flat_index(l, s)];
+                     return sa < 0 ? nullptr
+                                   : far + static_cast<std::size_t>(sa) * k;
+                   });
+      });
   tr.report(stats);
 }
 
