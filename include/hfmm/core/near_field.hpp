@@ -88,22 +88,18 @@ struct WindowSegment {
 /// chunk's leaves are spatially compact (Morton order). Windows are sized
 /// per call; vectors grow on demand and are never shrunk, so repeated
 /// calls on the same system (an integrator's timesteps) allocate nothing.
+/// The symmetric kernel's pair buffer is per thread, not per chunk (see
+/// near_field.cpp).
 struct NearFieldScratch {
   struct Chunk {
     std::vector<WindowSegment> seg;  ///< window segments, ascending, disjoint
     std::vector<double> phi;         ///< window potential
     std::vector<Vec3> grad;          ///< window gradient
-    std::vector<double> pair_phi;    ///< symmetric pair buffer (targets,
-                                     ///< then sources)
-    std::vector<double> pair_gx, pair_gy, pair_gz;  ///< SoA pair gradients
 
     /// Heap footprint of the slot's buffers (capacities).
     std::size_t capacity_bytes() const {
       return seg.capacity() * sizeof(WindowSegment) +
-             (phi.capacity() + pair_phi.capacity() + pair_gx.capacity() +
-              pair_gy.capacity() + pair_gz.capacity()) *
-                 sizeof(double) +
-             grad.capacity() * sizeof(Vec3);
+             phi.capacity() * sizeof(double) + grad.capacity() * sizeof(Vec3);
     }
   };
   std::vector<Chunk> chunks;

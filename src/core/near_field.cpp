@@ -81,6 +81,21 @@ std::size_t window_at(const std::vector<WindowSegment>& seg, std::size_t i) {
 // Range-range evaluations of one near-field chunk on the dispatched pkern
 // backend, physics chosen once per chunk, written into the chunk's packed
 // window (which must hold every range written here).
+// Pair buffer of the symmetric kernel: one box pair's contributions, its
+// targets then its sources, with SoA gradients. It holds data only inside
+// one both_ways call, so it belongs to the calling thread, not to a chunk:
+// a per-chunk buffer would keep kNearChunks copies of the largest pair
+// alive at once. Like the blas packing scratch it lives outside the solve
+// workspace and keeps the capacity of the largest pair its thread has met.
+struct PairBuffer {
+  std::vector<double> phi, gx, gy, gz;
+};
+
+PairBuffer& pair_buffer() {
+  thread_local PairBuffer buf;
+  return buf;
+}
+
 class ChunkPairs {
  public:
   ChunkPairs(const dp::BoxedParticles& boxed, const NearKernel& kern,
@@ -121,22 +136,21 @@ class ChunkPairs {
   // which is then added into the chunk's window (targets at offset at).
   void both_ways(const BoxRange& tr, std::size_t at, const BoxRange& sr) {
     const std::size_t tot = tr.count() + sr.count();
-    ch_.pair_phi.assign(tot, 0.0);
+    pair_.phi.assign(tot, 0.0);
     if (with_gradient_) {
-      ch_.pair_gx.assign(tot, 0.0);
-      ch_.pair_gy.assign(tot, 0.0);
-      ch_.pair_gz.assign(tot, 0.0);
+      pair_.gx.assign(tot, 0.0);
+      pair_.gy.assign(tot, 0.0);
+      pair_.gz.assign(tot, 0.0);
     }
-    double* gx = with_gradient_ ? ch_.pair_gx.data() : nullptr;
+    double* gx = with_gradient_ ? pair_.gx.data() : nullptr;
     if (vdw_)
       back_.p2p_vdw_symmetric(x_, y_, z_, kern_.types, tr.begin, tr.end,
-                              sr.begin, sr.end, ch_.pair_phi.data(), gx,
-                              ch_.pair_gy.data(), ch_.pair_gz.data(),
-                              kern_.vdw);
+                              sr.begin, sr.end, pair_.phi.data(), gx,
+                              pair_.gy.data(), pair_.gz.data(), kern_.vdw);
     else
       back_.p2p_symmetric(x_, y_, z_, q_, tr.begin, tr.end, sr.begin, sr.end,
-                          ch_.pair_phi.data(), gx, ch_.pair_gy.data(),
-                          ch_.pair_gz.data(), kern_.soft2);
+                          pair_.phi.data(), gx, pair_.gy.data(),
+                          pair_.gz.data(), kern_.soft2);
     add_pair_buffer(tr.count(), 0, at);
     add_pair_buffer(sr.count(), tr.count(), window_at(ch_.seg, sr.begin));
   }
@@ -146,11 +160,11 @@ class ChunkPairs {
   // [w, w + count).
   void add_pair_buffer(std::size_t count, std::size_t at, std::size_t w) {
     for (std::size_t i = 0; i < count; ++i)
-      ch_.phi[w + i] += ch_.pair_phi[at + i];
+      ch_.phi[w + i] += pair_.phi[at + i];
     if (!with_gradient_) return;
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t s = at + i;
-      ch_.grad[w + i] += Vec3{ch_.pair_gx[s], ch_.pair_gy[s], ch_.pair_gz[s]};
+      ch_.grad[w + i] += Vec3{pair_.gx[s], pair_.gy[s], pair_.gz[s]};
     }
   }
 
@@ -160,6 +174,7 @@ class ChunkPairs {
   bool vdw_;
   bool with_gradient_;
   NearFieldScratch::Chunk& ch_;
+  PairBuffer& pair_ = pair_buffer();
 };
 
 // Runs a chunk in two passes over the same walk. `walk(visit)` calls
