@@ -74,10 +74,8 @@ void gemm_packed(const double* a, std::size_t lda, const double* bp,
       std::memcpy(as + r * k, a + (full + r) * lda, k * sizeof(double));
   }
   alignas(64) double tile[kMR * kNR];
-  const auto staged = [&](const double* arow, std::size_t ld,
-                          const double* panel, double* crow0, std::size_t mr,
-                          std::size_t nr) {
-    Micro::run(arow, ld, panel, tile, kNR, k, false);
+  // Merges the first mr x nr of the staging tile into C at crow0.
+  const auto merge = [&](double* crow0, std::size_t mr, std::size_t nr) {
     for (std::size_t r = 0; r < mr; ++r) {
       double* crow = crow0 + r * ldc;
       const double* trow = tile + r * kNR;
@@ -90,14 +88,20 @@ void gemm_packed(const double* a, std::size_t lda, const double* bp,
   for (std::size_t jp = 0; jp < n; jp += kNR) {
     const std::size_t nr = (n - jp < kNR) ? (n - jp) : kNR;
     const double* panel = bp + jp * k;
-    for (std::size_t i = 0; i < full; i += kMR) {
-      if (nr == kNR)
+    if (nr == kNR) {
+      for (std::size_t i = 0; i < full; i += kMR)
         Micro::run(a + i * lda, lda, panel, c + i * ldc + jp, ldc, k,
                    accumulate);
-      else
-        staged(a + i * lda, lda, panel, c + i * ldc + jp, kMR, nr);
+    } else {
+      for (std::size_t i = 0; i < full; i += kMR) {
+        Micro::run(a + i * lda, lda, panel, tile, kNR, k, false);
+        merge(c + i * ldc + jp, kMR, nr);
+      }
     }
-    if (full < m) staged(as, k, panel, c + full * ldc + jp, m - full, nr);
+    if (full < m) {
+      Micro::run(as, k, panel, tile, kNR, k, false);
+      merge(c + full * ldc + jp, m - full, nr);
+    }
   }
 }
 

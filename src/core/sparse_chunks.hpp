@@ -180,24 +180,22 @@ class BlockTranslator {
     }
   }
 
-  // Runs block(o, targets) for each octant o = 0..7 over the targets t of
-  // [lo, hi) with octant(t) == o, ascending, in gather blocks. Grouping the
-  // whole chunk (not each block) keeps the per-octant gemms long.
+  // Runs block(o, targets) for each gather block of [lo, hi) and each
+  // octant o = 0..7, over the block's targets t with octant(t) == o,
+  // ascending.
   template <class Octant, class Block>
   void for_each_octant_block(std::size_t lo, std::size_t hi, Octant&& octant,
                              Block&& block) {
-    for (int o = 0; o < 8; ++o) {
-      std::size_t n = 0;
-      for (std::size_t t = lo; t < hi; ++t) {
-        if (octant(t) != o) continue;
-        slot_.targets[n++] = static_cast<std::uint32_t>(t);
-        if (n == kGatherBlock) {
+    for (std::size_t b0 = lo; b0 < hi; b0 += kGatherBlock) {
+      const std::size_t b1 = std::min(hi, b0 + kGatherBlock);
+      for (int o = 0; o < 8; ++o) {
+        std::size_t n = 0;
+        for (std::size_t t = b0; t < b1; ++t)
+          if (octant(t) == o)
+            slot_.targets[n++] = static_cast<std::uint32_t>(t);
+        if (n > 0)
           block(o, std::span<const std::uint32_t>{slot_.targets.data(), n});
-          n = 0;
-        }
       }
-      if (n > 0)
-        block(o, std::span<const std::uint32_t>{slot_.targets.data(), n});
     }
   }
 
