@@ -115,8 +115,8 @@ TEST(GemmBatchTest, StridedInstancesWithSharedB) {
 }
 
 // Every m x n tail combination in 1..9 at a small and a large k: exercises
-// the micro-kernel full tiles, the partial-width staging path, and the
-// scalar row edge of the blocked driver in one sweep.
+// the micro-kernel full tiles and the partial-width and row-tail staging
+// paths of the blocked driver in one sweep.
 TEST(GemmTailTest, AllSmallShapesMatchNaive) {
   for (const std::size_t k : {1, 7, 12}) {
     for (std::size_t m = 1; m <= 9; ++m) {
@@ -139,6 +139,36 @@ TEST(GemmTailTest, AllSmallShapesMatchNaive) {
       }
     }
   }
+}
+
+// The gathered translations rely on this: a row of C has the same bits
+// whether it lands in a full row tile or in the tail of a product, so a
+// target's result does not depend on how the targets were blocked.
+TEST(GemmTest, RowBitsDoNotDependOnRowPosition) {
+  const KernelKind before = active_kernel_kind();
+  for (const KernelKind kind : {KernelKind::kPortable, KernelKind::kAvx2}) {
+    if (!kernel_supported(kind)) continue;
+    ASSERT_TRUE(select_kernel(kind));
+    for (const std::size_t k : {7, 12}) {
+      const std::size_t m = 11, n = 13;
+      const auto a = random_matrix(m, k, 61 + k);
+      const auto b = random_matrix(k, n, 62 + k);
+      for (const bool accumulate : {false, true}) {
+        std::vector<double> c(m * n, 0.375);
+        gemm(a.data(), k, b.data(), n, c.data(), n, m, n, k, accumulate);
+        for (std::size_t i = 0; i < m; ++i) {
+          std::vector<double> row(n, 0.375);
+          gemm(a.data() + i * k, k, b.data(), n, row.data(), n, 1, n, k,
+               accumulate);
+          for (std::size_t j = 0; j < n; ++j)
+            ASSERT_EQ(c[i * n + j], row[j])
+                << active_kernel().name << " k=" << k << " row=" << i
+                << " acc=" << accumulate;
+        }
+      }
+    }
+  }
+  select_kernel(before);
 }
 
 TEST(GemmTest, RespectsLeadingDimensions) {
